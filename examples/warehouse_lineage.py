@@ -26,7 +26,7 @@ def main() -> None:
     report_sql = """
         SELECT c_mktsegment,
                count(*) AS line_count,
-               round(sum(l_extendedprice * (1.0 - l_discount)), 0) AS revenue
+               CAST(round(sum(l_extendedprice * (1.0 - l_discount))) AS int) AS revenue
         FROM customer
         JOIN orders ON c_custkey = o_custkey
         JOIN lineitem ON o_orderkey = l_orderkey
@@ -62,7 +62,7 @@ def main() -> None:
         f"""
         SELECT prov_customer_c_name AS customer,
                count(*) AS lines,
-               round(sum(prov_lineitem_l_extendedprice), 0) AS gross
+               CAST(round(sum(prov_lineitem_l_extendedprice)) AS int) AS gross
         FROM report_prov
         WHERE c_mktsegment = '{suspicious}'
         GROUP BY prov_customer_c_name

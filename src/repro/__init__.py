@@ -35,9 +35,7 @@ Quickstart::
 
 Repeated ``conn.execute`` of the same SQL text hits an LRU plan cache
 (``conn.plan_cache.stats()``), so hot parameterized queries skip straight
-to the execute stage. The pre-1.x ``PermDB`` session remains available as
-a deprecated shim whose ``execute()`` returns the result relation
-directly.
+to the execute stage.
 
 Three execution engines are available — ``repro.connect(engine="row")``
 (tuple-at-a-time volcano iterators, the default), ``engine="vectorized"``
@@ -66,7 +64,6 @@ from .engine import (
     Connection,
     Cursor,
     Database,
-    PermDB,
     Pipeline,
     PipelineCounters,
     PlanCache,
@@ -126,7 +123,6 @@ __all__ = [
     "Pipeline",
     "PipelineCounters",
     "PlanCache",
-    "PermDB",
     "Relation",
     "RewriteOptions",
     "materialize_provenance",

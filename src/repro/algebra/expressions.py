@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..catalog.schema import Schema
 from ..datatypes import SQLType, Value, type_of_value, unify_types
-from ..errors import TypeCheckError
+from ..errors import PermError, TypeCheckError
+from ..scalars import lookup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .nodes import Node
@@ -348,54 +349,6 @@ def _outer_columns_of_plan(plan: "Node", level: int) -> set[str]:
 # Static typing of expressions
 # ---------------------------------------------------------------------------
 
-_AGG_FUNCS = frozenset({"count", "sum", "avg", "min", "max"})
-
-_SCALAR_FUNC_TYPES: dict[str, Callable[[list[SQLType]], SQLType]] = {}
-
-
-def _register_func(name: str, fn: Callable[[list[SQLType]], SQLType]) -> None:
-    _SCALAR_FUNC_TYPES[name] = fn
-
-
-_register_func("abs", lambda ts: ts[0] if ts and ts[0] is not SQLType.NULL else SQLType.FLOAT)
-_register_func("round", lambda ts: SQLType.FLOAT if len(ts) == 1 else SQLType.FLOAT)
-_register_func("floor", lambda ts: SQLType.INT)
-_register_func("ceil", lambda ts: SQLType.INT)
-_register_func("sqrt", lambda ts: SQLType.FLOAT)
-_register_func("power", lambda ts: SQLType.FLOAT)
-_register_func("mod", lambda ts: SQLType.INT)
-_register_func("upper", lambda ts: SQLType.TEXT)
-_register_func("lower", lambda ts: SQLType.TEXT)
-_register_func("length", lambda ts: SQLType.INT)
-_register_func("char_length", lambda ts: SQLType.INT)
-_register_func("substring", lambda ts: SQLType.TEXT)
-_register_func("substr", lambda ts: SQLType.TEXT)
-_register_func("trim", lambda ts: SQLType.TEXT)
-_register_func("ltrim", lambda ts: SQLType.TEXT)
-_register_func("rtrim", lambda ts: SQLType.TEXT)
-_register_func("replace", lambda ts: SQLType.TEXT)
-_register_func("concat", lambda ts: SQLType.TEXT)
-_register_func("greatest", lambda ts: _unify_all(ts, "greatest"))
-_register_func("least", lambda ts: _unify_all(ts, "least"))
-_register_func("coalesce", lambda ts: _unify_all(ts, "coalesce"))
-_register_func("nullif", lambda ts: ts[0] if ts else SQLType.NULL)
-
-
-def _unify_all(types: list[SQLType], context: str) -> SQLType:
-    result = SQLType.NULL
-    for t in types:
-        result = unify_types(result, t, context)
-    return result
-
-
-def scalar_function_names() -> frozenset[str]:
-    return frozenset(_SCALAR_FUNC_TYPES)
-
-
-def is_aggregate_name(name: str) -> bool:
-    return name in _AGG_FUNCS
-
-
 _COMPARISONS = {"=", "<>", "<", ">", "<=", ">=", "like", "ilike"}
 _BOOL_OPS = {"and", "or"}
 _ARITH = {"+", "-", "*", "/", "%"}
@@ -459,10 +412,7 @@ def infer_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = (
         return result
     if isinstance(expr, FuncExpr):
         types = [infer_type(a, schema, outer_schemas) for a in expr.args]
-        try:
-            return _SCALAR_FUNC_TYPES[expr.name](types)
-        except KeyError:
-            raise TypeCheckError(f"unknown function {expr.name!r}") from None
+        return lookup(expr.name).result_type(types)
     if isinstance(expr, CastExpr):
         return expr.target
     if isinstance(expr, AggExpr):
@@ -473,6 +423,15 @@ def infer_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = (
             return expr.plan.schema[0].type
         return SQLType.BOOL
     raise TypeCheckError(f"cannot type expression {type(expr).__name__}")
+
+
+def static_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = ()) -> SQLType:
+    """:func:`infer_type`, with ``NULL`` (unknown) for an expression
+    that does not type — for compilers that only *exploit* types."""
+    try:
+        return infer_type(expr, schema, outer_schemas)
+    except PermError:
+        return SQLType.NULL
 
 
 def conjuncts(expr: Optional[Expr]) -> list[Expr]:

@@ -12,10 +12,7 @@ here) and scalar rendering, which is parameterized by a dialect object.
 Dialects live in :mod:`repro.backend.dialects` behind the
 :class:`~repro.backend.dialects.base.Dialect` interface — the browser
 dialect for this module, the SQLite/DuckDB dialects for the pushdown
-backends. The historic import surface (``SqlDialect``,
-``BrowserDialect``, ``SQLiteDialect``, ``BROWSER_DIALECT``,
-``quote_identifier_always``) is re-exported lazily below for
-compatibility.
+backends.
 
 Dialects only cover scalar expressions; operator-tree compilation for
 pushdown targets (ordering channel, fallbacks, sublink strategies)
@@ -30,27 +27,6 @@ from . import nodes as n
 from .expressions import Expr
 
 _BARE = set("abcdefghijklmnopqrstuvwxyz0123456789_")
-
-# Names re-exported from repro.backend.dialects on attribute access.
-# Imported lazily (PEP 562): the dialect package imports the algebra
-# expression classes, so a module-level import here would be circular
-# whichever package is imported first.
-_DIALECT_EXPORTS = (
-    "Dialect",
-    "SqlDialect",
-    "BrowserDialect",
-    "SQLiteDialect",
-    "BROWSER_DIALECT",
-    "quote_identifier_always",
-)
-
-
-def __getattr__(name: str):
-    if name in _DIALECT_EXPORTS:
-        from ..backend import dialects
-
-        return getattr(dialects, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def expr_to_sql(expr: Expr, dialect=None) -> str:

@@ -23,6 +23,7 @@ from ..catalog.catalog import Catalog
 from ..catalog.schema import Schema
 from ..datatypes import SQLType, type_from_name
 from ..errors import AnalyzeError, CatalogError
+from ..scalars import SCALARS
 from ..sql import ast
 from .scope import Scope, ScopeEntry
 
@@ -775,8 +776,10 @@ class Analyzer:
                 raise AnalyzeError(f"{expr.name}(*) is not a known aggregate")
             if expr.distinct:
                 raise AnalyzeError("DISTINCT is only allowed in aggregate calls")
-            if expr.name not in ax.scalar_function_names():
+            entry = SCALARS.get(expr.name)
+            if entry is None or not entry.sql_visible:
                 raise AnalyzeError(f"unknown function {expr.name!r}")
+            entry.check_arity(len(expr.args))
             return ax.FuncExpr(expr.name, tuple(resolve(a) for a in expr.args))
         if isinstance(expr, ast.Case):
             operand = resolve(expr.operand) if expr.operand is not None else None

@@ -15,14 +15,11 @@ contexts stay untyped and accept any value.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
 from ..algebra.tree import walk_tree
 from ..catalog.schema import Schema
 from ..datatypes import SQLType
-from ..errors import PermError
 
 _COMPARABLE_OPS = frozenset({"=", "<>", "<", ">", "<=", ">=", "+", "-", "*", "/", "%"})
 
@@ -103,21 +100,9 @@ def _pair(
     if isinstance(a, ax.Param) == isinstance(b, ax.Param):
         return  # neither (nothing to do) or both (mutually untypable)
     param, other = (a, b) if isinstance(a, ax.Param) else (b, a)
-    _record(found, param, _static_type(other, schema, outer))
+    _record(found, param, ax.static_type(other, schema, outer))
 
 
-def _static_type(
-    expr: ax.Expr, schema: Schema, outer: tuple[Schema, ...]
-) -> Optional[SQLType]:
-    try:
-        inferred = ax.infer_type(expr, schema, outer)
-    except PermError:
-        return None
-    return None if inferred is SQLType.NULL else inferred
-
-
-def _record(
-    found: dict[int, SQLType], param: ax.Param, type_: Optional[SQLType]
-) -> None:
-    if type_ is not None and param.index not in found:
+def _record(found: dict[int, SQLType], param: ax.Param, type_: SQLType) -> None:
+    if type_ is not SQLType.NULL and param.index not in found:
         found[param.index] = type_

@@ -82,6 +82,7 @@ from ..algebra.tree import walk_tree
 from ..catalog.schema import Schema
 from ..datatypes import SQLType
 from ..errors import PlanError
+from ..scalars import arith_interval
 from .dialects.base import expr_to_sql, quote_identifier_always as q
 from .runtime import LimitBind, MirrorAdapter, SubplanSlot
 
@@ -126,22 +127,6 @@ class _Compiled:
         self.ords = ords
 
 
-# Rewrites of +/-/* whose result interval escapes the dialect's integer
-# bounds: exact Python arithmetic UDFs registered by the backend.
-_EXACT_ARITH_UDFS = {"+": "iadd", "-": "isub", "*": "imul"}
-
-
-def _arith_interval(
-    op: str, left: tuple[int, int], right: tuple[int, int]
-) -> tuple[int, int]:
-    """Exact interval arithmetic for integer ``+``/``-``/``*``."""
-    (a, b), (c, d) = left, right
-    if op == "+":
-        return (a + c, b + d)
-    if op == "-":
-        return (a - d, b - c)
-    products = (a * c, a * d, b * c, b * d)
-    return (min(products), max(products))
 # Operators whose compiled SQL is scanned in a *physically guaranteed*
 # order (see _order_realized): safe below an order-sensitive aggregate.
 _ORDER_PRESERVING = (an.Select, an.Project)
@@ -573,29 +558,7 @@ class PushdownCompiler:
         int_bounds = (self._int_min, self._int_max) if int_gated else None
 
         def static_type(e: ax.Expr) -> SQLType:
-            if isinstance(e, ax.FuncExpr) and e.name in ("div", "mod"):
-                # Our own rewrites of '/' and '%' — infer_type does not
-                # know them; mirror the BinOp typing so enclosing gates
-                # (e.g. ||, comparisons) still see the numeric type.
-                if e.name == "mod":
-                    return SQLType.INT
-                lt, rt = static_type(e.args[0]), static_type(e.args[1])
-                if SQLType.FLOAT in (lt, rt):
-                    return SQLType.FLOAT
-                if lt is SQLType.NULL or rt is SQLType.NULL:
-                    return SQLType.NULL
-                return SQLType.INT
-            if isinstance(e, ax.FuncExpr) and e.name in ("iadd", "isub", "imul"):
-                lt, rt = static_type(e.args[0]), static_type(e.args[1])
-                if lt is SQLType.NULL or rt is SQLType.NULL:
-                    return SQLType.NULL
-                return SQLType.INT
-            if isinstance(e, ax.FuncExpr) and e.name == "ineg":
-                return static_type(e.args[0])
-            try:
-                return ax.infer_type(e, schema, outers)
-            except Exception:
-                return SQLType.NULL
+            return ax.static_type(e, schema, outers)
 
         def int_interval(e: ax.Expr) -> Optional[tuple[int, int]]:
             """Conservative runtime-value bounds of an integer-typed
@@ -621,7 +584,7 @@ class PushdownCompiler:
                 if e.op in ("+", "-", "*"):
                     li = int_interval(e.left) or int_bounds
                     ri = int_interval(e.right) or int_bounds
-                    return _arith_interval(e.op, li, ri)
+                    return arith_interval(e.op, li, ri)
                 if e.op == "/":
                     # Surviving native division has |divisor| >= 1, so
                     # |quotient| <= |dividend| (the INT_MIN / -1 edge
@@ -706,8 +669,9 @@ class PushdownCompiler:
                     # result itself exceeds the bounds).
                     li = int_interval(e.left) or int_bounds
                     ri = int_interval(e.right) or int_bounds
-                    if not self._within_bounds(_arith_interval(e.op, li, ri)):
-                        return ax.FuncExpr(_EXACT_ARITH_UDFS[e.op], (e.left, e.right))
+                    if not self._within_bounds(arith_interval(e.op, li, ri)):
+                        exact = {"+": "iadd", "-": "isub", "*": "imul"}[e.op]
+                        return ax.FuncExpr(exact, (e.left, e.right))
                 if e.op in ("/", "%"):
                     native = (
                         isinstance(e.right, ax.Const)
@@ -733,11 +697,16 @@ class PushdownCompiler:
                     raise Unsupported("bool/non-bool IS DISTINCT FROM raises in-engine")
                 if not _statically_comparable(lt, rt):
                     raise Unsupported(f"IS DISTINCT FROM over {lt}/{rt} raises in-engine")
-            elif isinstance(e, ax.FuncExpr) and e.name not in ("div", "mod"):
+            elif isinstance(e, ax.FuncExpr):
                 if any(static_type(a) is SQLType.BOOL for a in e.args):
                     # Most scalar functions reject booleans at runtime;
                     # through the mirror they would arrive as plain 0/1.
                     raise Unsupported(f"{e.name}() over a boolean argument")
+            elif isinstance(e, ax.CastExpr):
+                if static_type(e.operand) is SQLType.BOOL:
+                    # CAST(true AS text) is 'true'; the mirror's 1 would
+                    # cast to '1'.
+                    raise Unsupported("CAST over a boolean operand")
             elif isinstance(e, ax.CaseExpr) and e.operand is not None:
                 ot = static_type(e.operand)
                 for when, _ in e.whens:

@@ -40,11 +40,11 @@ import duckdb
 
 from ..datatypes import SQLType, Value
 from ..errors import ExecutionError
-from ..executor.expr_eval import _FUNCTIONS, Row
+from ..executor.expr_eval import Row
+from ..scalars import SCALARS
 from .dialects.base import quote_identifier_always as quote_identifier
 from .dialects.duckdb import DuckDBDialect, INT64_MAX, INT64_MIN
 from .runtime import IntegerRangeEscape, MirrorAdapter, adapt_row, adapt_value
-from .sqlite import _run_like
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..catalog.catalog import Catalog
@@ -79,23 +79,22 @@ class DuckDBBackend(MirrorAdapter):
         self._register_udfs()
 
     # ------------------------------------------------------------------
-    # User-defined functions: exact expr_eval semantics inside DuckDB
+    # User-defined functions: exact repro.scalars semantics inside DuckDB
     # ------------------------------------------------------------------
     def _register_udfs(self) -> None:
-        from ..datatypes import arith, cast_value, negate
-
         try:
             any_type = duckdb.typing.DuckDBPyType("ANY")
         except Exception:  # pragma: no cover - host-version dependent
             any_type = None
 
-        def create(name: str, impl, arity: int) -> None:
-            wrapped = self._wrap_udf(impl)
+        def create(name: str, impl) -> None:
+            # parameters=None: DuckDB reads the signature off the
+            # wrapper, whose ``*args`` makes a true varargs function —
+            # one registration serves every arity the table allows.
             kwargs = {"null_handling": "special", "exception_handling": "default"}
-            parameters = [any_type] * arity if any_type is not None else None
             try:
                 self.connection.create_function(
-                    f"repro_{name}", wrapped, parameters, any_type, **kwargs
+                    f"repro_{name}", self._wrap_udf(impl), None, any_type, **kwargs
                 )
             except Exception as exc:  # pragma: no cover - host-dependent
                 # A host build that cannot register this signature keeps
@@ -105,23 +104,9 @@ class DuckDBBackend(MirrorAdapter):
                 self._udf_failures[f"repro_{name}"] = str(exc)
 
         self._udf_failures: dict[str, str] = {}
-        for name, impl in _FUNCTIONS.items():
-            create(name, impl, 2)
-        for type_ in (SQLType.INT, SQLType.FLOAT, SQLType.TEXT, SQLType.BOOL):
-            create(
-                f"cast_{type_.name.lower()}",
-                lambda args, t=type_: cast_value(args[0], t),
-                1,
-            )
-        create("like", lambda args: _run_like(args, False), 2)
-        create("ilike", lambda args: _run_like(args, True), 2)
-        create("div", lambda args: arith("/", args[0], args[1]), 2)
-        create("mod", lambda args: arith("%", args[0], args[1]), 2)
-        create("iadd", lambda args: arith("+", args[0], args[1]), 2)
-        create("isub", lambda args: arith("-", args[0], args[1]), 2)
-        create("imul", lambda args: arith("*", args[0], args[1]), 2)
-        create("ineg", lambda args: negate(args[0]), 1)
-        create("slot", self._read_slot, 1)
+        for name, entry in SCALARS.items():
+            create(name, entry.kernel)
+        create("slot", self._read_slot)
         # Naive left-to-right float aggregation is not expressible as a
         # DuckDB Python aggregate; the compiler's order-sensitivity
         # gates already fall back for float sum/avg (native_float_agg

@@ -14,7 +14,7 @@ Pieces:
   connection, mirrors catalog tables (synced per
   :class:`~repro.storage.table.HeapTable` version), registers the
   ``repro_*`` user-defined functions that give SQLite *exactly* the
-  scalar semantics of :mod:`repro.executor.expr_eval` (including raised
+  scalar semantics of :mod:`repro.scalars` (including raised
   errors, which travel through a side channel because sqlite3 swallows
   exception details), and materializes row-engine fallback fragments
   into temp tables.
@@ -43,7 +43,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ..datatypes import SQLType, Value
 from ..errors import ExecutionError, ProgrammingError
-from ..executor.expr_eval import _FUNCTIONS, _like_to_regex, Row
+from ..executor.expr_eval import Row
+from ..scalars import SCALARS
 from .dialects.base import quote_identifier_always as quote_identifier
 from .dialects.sqlite import INT64_MAX, INT64_MIN, SQLiteDialect
 from .runtime import (  # noqa: F401  (re-exported: historic import surface)
@@ -103,63 +104,17 @@ class SQLiteBackend(MirrorAdapter):
         self._register_udfs()
 
     # ------------------------------------------------------------------
-    # User-defined functions: exact expr_eval semantics inside SQLite
+    # User-defined functions: exact repro.scalars semantics inside SQLite
     # ------------------------------------------------------------------
     def _register_udfs(self) -> None:
-        from ..datatypes import arith, cast_value, negate
-
-        for name, impl in _FUNCTIONS.items():
+        # Every table entry — SQL-visible functions and the compiler's
+        # exact helpers alike — runs as its own Python kernel inside
+        # SQLite; a result beyond int64 escapes to the row engine via
+        # _wrap_udf's range check instead of wrapping or losing precision.
+        for name, entry in SCALARS.items():
             self.connection.create_function(
-                f"repro_{name}", -1, self._wrap_udf(impl), deterministic=True
+                f"repro_{name}", -1, self._wrap_udf(entry.kernel), deterministic=True
             )
-        for type_ in (SQLType.INT, SQLType.FLOAT, SQLType.TEXT, SQLType.BOOL):
-            self.connection.create_function(
-                f"repro_cast_{type_.name.lower()}",
-                1,
-                self._wrap_udf(lambda args, t=type_: cast_value(args[0], t)),
-                deterministic=True,
-            )
-        for udf, insensitive in (("repro_like", False), ("repro_ilike", True)):
-            self.connection.create_function(
-                udf,
-                2,
-                self._wrap_udf(lambda args, ci=insensitive: _run_like(args, ci)),
-                deterministic=True,
-            )
-        # Division/modulo with the engine's exact rules (raise on zero,
-        # '%' requires integers); used when the divisor is not a nonzero
-        # constant, where native SQLite arithmetic would return NULL.
-        self.connection.create_function(
-            "repro_div",
-            2,
-            self._wrap_udf(lambda args: arith("/", args[0], args[1])),
-            deterministic=True,
-        )
-        self.connection.create_function(
-            "repro_mod",
-            2,
-            self._wrap_udf(lambda args: arith("%", args[0], args[1])),
-            deterministic=True,
-        )
-        # Exact integer arithmetic for expressions whose static interval
-        # analysis (compile._prepare) cannot bound the result within
-        # int64: native SQLite would silently promote an overflowing
-        # result to REAL. These compute in Python (unbounded); a result
-        # beyond int64 escapes to the row engine via _wrap_udf's range
-        # check instead of wrapping or losing precision.
-        for udf_name, op in (("iadd", "+"), ("isub", "-"), ("imul", "*")):
-            self.connection.create_function(
-                f"repro_{udf_name}",
-                2,
-                self._wrap_udf(lambda args, o=op: arith(o, args[0], args[1])),
-                deterministic=True,
-            )
-        self.connection.create_function(
-            "repro_ineg",
-            1,
-            self._wrap_udf(lambda args: negate(args[0])),
-            deterministic=True,
-        )
         # Sublink slot access: constant within one statement execution
         # (the executing op installs every state before running), so
         # deterministic is safe and lets SQLite hoist it out of loops.
@@ -367,14 +322,3 @@ def _naive_aggregate_class(backend: SQLiteBackend, func: str):
                 raise
 
     return NaiveAggregate
-
-
-def _run_like(args: list[Value], case_insensitive: bool) -> Optional[bool]:
-    value, pattern = args
-    if value is None or pattern is None:
-        return None
-    if not isinstance(value, str) or not isinstance(pattern, str):
-        raise ExecutionError("LIKE requires text operands")
-    regex = _like_to_regex(pattern.lower() if case_insensitive else pattern)
-    target = value.lower() if case_insensitive else value
-    return regex.match(target) is not None

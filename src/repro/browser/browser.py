@@ -61,8 +61,7 @@ class BrowserView:
 class PermBrowser:
     """Interactive inspection of the provenance rewrite process.
 
-    Accepts any :class:`~repro.engine.connection.Connection` (including
-    the deprecated ``PermDB`` shim)."""
+    Accepts any :class:`~repro.engine.connection.Connection`."""
 
     def __init__(self, db: Connection):
         self.db = db

@@ -148,7 +148,7 @@ def cast_value(value: Value, target: SQLType) -> Value:
             if lowered in ("f", "false", "no", "off", "0"):
                 return False
             raise ValueError(lowered)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ExecutionError(f"cannot cast {value!r} to {target}") from exc
     raise ExecutionError(f"cannot cast to {target}")
 

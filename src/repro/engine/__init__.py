@@ -2,8 +2,7 @@
 
 :class:`Connection` / :class:`Cursor` form the DB-API 2.0 front end;
 :class:`Pipeline` is the explicit Figure 3 stage sequence with its plan
-cache and prepared plans; :class:`PermDB` is the deprecated monolithic
-session kept for backward compatibility.
+cache and prepared plans.
 """
 
 from .connection import Connection, connect  # noqa: F401
@@ -18,4 +17,3 @@ from .pipeline import (  # noqa: F401
 )
 from .prepared import PreparedStatement  # noqa: F401
 from .result import ExecutionProfile, StageTiming  # noqa: F401
-from .session import PermDB  # noqa: F401

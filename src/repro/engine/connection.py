@@ -12,9 +12,7 @@ statements go through a :class:`~repro.engine.pipeline.PlanCache` keyed
 on their canonical SQL text, and :meth:`prepare` returns an explicit
 :class:`~repro.engine.prepared.PreparedStatement` whose ``execute`` pays
 only the execute stage. DDL/DML, eager provenance registration and
-per-stage profiling are carried over from the original ``PermDB``
-session, which remains available as a deprecated shim
-(:class:`repro.engine.session.PermDB`).
+per-stage profiling run on the same connection.
 
 Statements execute inside snapshot-isolated MVCC transactions
 (:mod:`repro.storage.mvcc`): autocommit wraps each statement in its own
@@ -153,7 +151,6 @@ class Connection:
         # (telemetry; surfaced per session by the server's STATS).
         self.serialization_retries = 0
 
-    # Component access (kept for existing callers of the PermDB-era API).
     @property
     def rewriter(self):
         return self.pipeline.rewriter

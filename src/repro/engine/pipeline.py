@@ -4,9 +4,8 @@ The paper's Figure 3 stage sequence::
 
     Parser & Analyzer  ->  Provenance Rewriter  ->  Planner  ->  Executor
 
-used to live inline in ``PermDB.execute``/``PermDB.profile``, which meant
-every call re-parsed, re-analyzed, re-rewrote, re-optimized and
-re-planned its SQL. :class:`Pipeline` makes the stages first-class:
+is first-class here, so a call need not re-parse, re-analyze,
+re-rewrite, re-optimize and re-plan its SQL:
 ``prepare()`` runs everything up to (and including) physical planning
 once and returns a :class:`PreparedPlan` that can be executed any number
 of times with fresh parameter bindings — only the execute stage is paid

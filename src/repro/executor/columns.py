@@ -40,6 +40,7 @@ from array import array
 from typing import Iterator, Optional, Sequence, Union
 
 from ..datatypes import SQLType, Value
+from ..scalars import arith_interval
 
 _np = None
 if os.environ.get("REPRO_NUMPY", "1") != "0":  # optional accelerator
@@ -470,17 +471,6 @@ def _operand_info(operand):
     return False, None, None
 
 
-def _int_interval(op: str, a_bounds, b_bounds) -> tuple[int, int]:
-    alo, ahi = a_bounds
-    blo, bhi = b_bounds
-    if op == "+":
-        return alo + blo, ahi + bhi
-    if op == "-":
-        return alo - bhi, ahi - blo
-    products = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-    return min(products), max(products)
-
-
 def _spill_arith(op: str, a, b, length: int) -> list[Value]:
     """Exact Python evaluation into an object column (the mandatory
     spill path: int64 overflow promotes to bignums, never wraps)."""
@@ -536,7 +526,7 @@ def vec_arith(op: str, a, b, length: int) -> Optional[AnyColumn]:
         ad = a.data if a_col else a
         bd = b.data if b_col else b
         if both_int:
-            low, high = _int_interval(op, a_bounds, b_bounds)
+            low, high = arith_interval(op, a_bounds, b_bounds)
             if low < INT64_MIN or high > INT64_MAX:
                 return _spill_arith(op, a, b, length)
             if op == "+":

@@ -9,13 +9,11 @@ index into. Uncorrelated subplans are executed once and cached.
 
 from __future__ import annotations
 
-import re
 from typing import Callable, Optional, Sequence
 
 from ..algebra import expressions as ax
 from ..catalog.schema import Schema
 from ..datatypes import (
-    SQLType,
     Value,
     arith,
     cast_value,
@@ -36,6 +34,7 @@ from ..datatypes import (
     value_identity,
 )
 from ..errors import ExecutionError, PlanError
+from ..scalars import like_match, lookup
 
 Row = tuple[Value, ...]
 # Environment frame: name->position mapping plus the current row.
@@ -82,25 +81,6 @@ _COMPARATORS: dict[str, Callable[[Value, Value], Optional[bool]]] = {
 
 def _schema_map(schema: Schema) -> dict[str, int]:
     return {attribute.name.lower(): i for i, attribute in enumerate(schema)}
-
-
-def _like_to_regex(pattern: str) -> re.Pattern[str]:
-    out = []
-    i = 0
-    while i < len(pattern):
-        ch = pattern[i]
-        if ch == "\\" and i + 1 < len(pattern):
-            out.append(re.escape(pattern[i + 1]))
-            i += 2
-            continue
-        if ch == "%":
-            out.append(".*")
-        elif ch == "_":
-            out.append(".")
-        else:
-            out.append(re.escape(ch))
-        i += 1
-    return re.compile("".join(out) + r"\Z", re.DOTALL)
 
 
 class ExprCompiler:
@@ -234,19 +214,9 @@ class ExprCompiler:
             return lambda row, env: arith(op, left(row, env), right(row, env))
         if op in ("like", "ilike"):
             case_insensitive = op == "ilike"
-
-            def run_like(row: Row, env: Env) -> Optional[bool]:
-                value = left(row, env)
-                pattern = right(row, env)
-                if value is None or pattern is None:
-                    return None
-                if not isinstance(value, str) or not isinstance(pattern, str):
-                    raise ExecutionError("LIKE requires text operands")
-                regex = _like_to_regex(pattern.lower() if case_insensitive else pattern)
-                target = value.lower() if case_insensitive else value
-                return regex.match(target) is not None
-
-            return run_like
+            return lambda row, env: like_match(
+                left(row, env), right(row, env), case_insensitive
+            )
         raise PlanError(f"unknown binary operator {op!r}")
 
     def _compile_case(self, expr: ax.CaseExpr) -> CompiledExpr:
@@ -387,14 +357,7 @@ class ExprCompiler:
     # ------------------------------------------------------------------
     def _compile_func(self, expr: ax.FuncExpr) -> CompiledExpr:
         args = [self.compile(a) for a in expr.args]
-        name = expr.name
-        try:
-            impl = _FUNCTIONS[name]
-        except KeyError:
-            raise PlanError(f"unknown function {name!r}") from None
-        expected = _FUNCTION_ARITY.get(name)
-        if expected is not None and len(args) not in expected:
-            raise PlanError(f"function {name} called with {len(args)} arguments")
+        impl = lookup(expr.name).kernel
 
         def run(row: Row, env: Env) -> Value:
             return impl([a(row, env) for a in args])
@@ -406,149 +369,6 @@ def _as_bool(value: Value) -> Optional[bool]:
     if value is None or isinstance(value, bool):
         return value
     raise ExecutionError(f"expected a boolean, got {type_of_value(value)}")
-
-
-# ---------------------------------------------------------------------------
-# Scalar function implementations (NULL-propagating unless noted)
-# ---------------------------------------------------------------------------
-
-def _strict(fn: Callable[..., Value]) -> Callable[[list[Value]], Value]:
-    def wrapped(args: list[Value]) -> Value:
-        if any(a is None for a in args):
-            return None
-        return fn(*args)
-
-    return wrapped
-
-
-def _num(value: Value, func: str) -> float | int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ExecutionError(f"{func}() requires a numeric argument")
-    return value
-
-
-def _text(value: Value, func: str) -> str:
-    if not isinstance(value, str):
-        raise ExecutionError(f"{func}() requires a text argument")
-    return value
-
-
-def _coalesce(args: list[Value]) -> Value:
-    for arg in args:
-        if arg is not None:
-            return arg
-    return None
-
-
-def _nullif(args: list[Value]) -> Value:
-    if len(args) != 2:
-        raise ExecutionError("nullif() takes two arguments")
-    return None if is_true(eq(args[0], args[1])) else args[0]
-
-
-def _greatest(args: list[Value]) -> Value:
-    present = [a for a in args if a is not None]
-    if not present:
-        return None
-    best = present[0]
-    for candidate in present[1:]:
-        if compare(candidate, best) == 1:
-            best = candidate
-    return best
-
-
-def _least(args: list[Value]) -> Value:
-    present = [a for a in args if a is not None]
-    if not present:
-        return None
-    best = present[0]
-    for candidate in present[1:]:
-        if compare(candidate, best) == -1:
-            best = candidate
-    return best
-
-
-def _concat(args: list[Value]) -> Value:
-    # PostgreSQL concat() skips NULLs.
-    return "".join(cast_value(a, SQLType.TEXT) for a in args if a is not None)  # type: ignore[misc]
-
-
-def _substring(args: list[Value]) -> Value:
-    if any(a is None for a in args):
-        return None
-    text = _text(args[0], "substring")
-    start = int(_num(args[1], "substring"))
-    # SQL substring is 1-based; handle start < 1 like PostgreSQL.
-    if len(args) == 3:
-        length = int(_num(args[2], "substring"))
-        if length < 0:
-            raise ExecutionError("negative substring length not allowed")
-        end = start + length
-        begin = max(start, 1)
-        return text[begin - 1 : max(end - 1, 0)]
-    return text[max(start, 1) - 1 :]
-
-
-def _round(args: list[Value]) -> Value:
-    if args[0] is None:
-        return None
-    value = _num(args[0], "round")
-    digits = 0
-    if len(args) == 2:
-        if args[1] is None:
-            return None
-        digits = int(_num(args[1], "round"))
-    result = round(float(value) + 0.0, digits)
-    return result if digits > 0 else (int(result) if float(result).is_integer() else result)
-
-
-_FUNCTIONS: dict[str, Callable[[list[Value]], Value]] = {
-    "abs": _strict(lambda v: abs(_num(v, "abs"))),
-    "round": _round,
-    "floor": _strict(lambda v: int(__import__("math").floor(_num(v, "floor")))),
-    "ceil": _strict(lambda v: int(__import__("math").ceil(_num(v, "ceil")))),
-    "sqrt": _strict(lambda v: __import__("math").sqrt(_num(v, "sqrt"))),
-    "power": _strict(lambda a, b: float(_num(a, "power")) ** float(_num(b, "power"))),
-    "mod": _strict(lambda a, b: arith("%", a, b)),
-    "upper": _strict(lambda v: _text(v, "upper").upper()),
-    "lower": _strict(lambda v: _text(v, "lower").lower()),
-    "length": _strict(lambda v: len(_text(v, "length"))),
-    "char_length": _strict(lambda v: len(_text(v, "char_length"))),
-    "substring": _substring,
-    "substr": _substring,
-    "trim": _strict(lambda v: _text(v, "trim").strip()),
-    "ltrim": _strict(lambda v: _text(v, "ltrim").lstrip()),
-    "rtrim": _strict(lambda v: _text(v, "rtrim").rstrip()),
-    "replace": _strict(
-        lambda s, old, new: _text(s, "replace").replace(_text(old, "replace"), _text(new, "replace"))
-    ),
-    "concat": _concat,
-    "coalesce": _coalesce,
-    "nullif": _nullif,
-    "greatest": _greatest,
-    "least": _least,
-}
-
-_FUNCTION_ARITY: dict[str, tuple[int, ...]] = {
-    "abs": (1,),
-    "round": (1, 2),
-    "floor": (1,),
-    "ceil": (1,),
-    "sqrt": (1,),
-    "power": (2,),
-    "mod": (2,),
-    "upper": (1,),
-    "lower": (1,),
-    "length": (1,),
-    "char_length": (1,),
-    "substring": (2, 3),
-    "substr": (2, 3),
-    "trim": (1,),
-    "ltrim": (1,),
-    "rtrim": (1,),
-    "replace": (3,),
-    "nullif": (2,),
-}
 
 
 class AggregateAccumulator:

@@ -6,7 +6,7 @@ column`` that produces one output value per batch row — either a packed
 compiler mirrors :class:`~repro.executor.expr_eval.ExprCompiler`
 semantics exactly — it reuses the same scalar kernels
 (:func:`~repro.datatypes.eq`, :func:`~repro.datatypes.arith`, the
-function table, three-valued logic) — but applies them over whole
+:mod:`repro.scalars` table, three-valued logic) — but applies them over whole
 columns, and dispatches on the *runtime* column representation: when an
 operand arrives as a numpy-backed typed buffer the hot kernels
 (comparison-vs-constant filters, numeric arithmetic, AND/OR masks,
@@ -26,7 +26,7 @@ correlated sublinks through the row engine per-subtree.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..algebra import expressions as ax
 from ..catalog.schema import Schema
@@ -42,6 +42,7 @@ from ..datatypes import (
     tvl_or,
 )
 from ..errors import ExecutionError, PlanError
+from ..scalars import like_match, like_matcher, lookup
 from .batch import Batch
 from .columns import (
     AnyColumn,
@@ -56,15 +57,7 @@ from .columns import (
     vec_not,
     vec_or,
 )
-from .expr_eval import (
-    _COMPARATORS,
-    _FUNCTIONS,
-    _FUNCTION_ARITY,
-    _as_bool,
-    _like_to_regex,
-    Env,
-    ExprCompiler,
-)
+from .expr_eval import _COMPARATORS, _as_bool, Env, ExprCompiler
 
 # A compiled vector expression: (batch, env) -> one column per call.
 VectorExpr = Callable[[Batch, Env], AnyColumn]
@@ -102,7 +95,6 @@ class VectorExprCompiler:
     def __init__(self, schema: Schema, row_compiler: ExprCompiler):
         self.schema = schema
         self.positions = {a.name.lower(): i for i, a in enumerate(schema)}
-        self.types = {a.name.lower(): a.type for a in schema}
         self.row_compiler = row_compiler
 
     # ------------------------------------------------------------------
@@ -225,27 +217,22 @@ class VectorExprCompiler:
 
         return run
 
-    def _static_type(self, expr: ax.Expr) -> Optional[SQLType]:
-        """Static type when cheaply and reliably known (column
-        references, typed constants, casts, numeric arithmetic over
-        those); None otherwise."""
-        if isinstance(expr, ax.Column):
-            return self.types.get(expr.name.lower())
-        if isinstance(expr, ax.Const):
-            return expr.type
-        if isinstance(expr, ax.CastExpr):
-            return expr.target
-        if isinstance(expr, ax.UnOp) and expr.op == "-":
-            operand = self._static_type(expr.operand)
-            return operand if operand in _NUMERIC else None
-        if isinstance(expr, ax.BinOp) and expr.op in ("+", "-", "*", "/", "%"):
-            left = self._static_type(expr.left)
-            right = self._static_type(expr.right)
-            if left in _NUMERIC and right in _NUMERIC:
-                if left is SQLType.INT and right is SQLType.INT:
-                    return SQLType.INT
-                return SQLType.FLOAT
-        return None
+    def _type(self, expr: ax.Expr) -> SQLType:
+        """Static type of *expr* when every runtime value provably
+        conforms to it, NULL (unknown) otherwise. An untyped leaf — a
+        bind parameter, a column projecting one through a derived table,
+        a sublink — carries values the analyzer never saw, and the
+        unifying rules of functions and CASE hide it (``coalesce(?, 1)``
+        types as INT, also one query level up), so only operators and
+        casts over typed leaves are trusted."""
+        outer = self.row_compiler.outer_schemas
+        for part in ax.walk_expr(expr):
+            if isinstance(part, (ax.FuncExpr, ax.CaseExpr, ax.SubqueryExpr)) or (
+                isinstance(part, (ax.Column, ax.OuterColumn, ax.Param))
+                and ax.static_type(part, self.schema, outer) is SQLType.NULL
+            ):
+                return SQLType.NULL
+        return ax.static_type(expr, self.schema, outer)
 
     def _static_boolean(self, expr: ax.Expr) -> bool:
         """Whether *expr* can only evaluate to True/False/None — lets
@@ -265,9 +252,7 @@ class VectorExprCompiler:
     def _native_ok(self, left: ax.Expr, right: ax.Expr) -> bool:
         """Whether Python's operators match SQL comparison/arithmetic for
         these operands: both statically numeric, or both text."""
-        lt, rt = self._static_type(left), self._static_type(right)
-        if lt is None or rt is None:
-            return False
+        lt, rt = self._type(left), self._type(right)
         if lt in _NUMERIC and rt in _NUMERIC:
             return True
         return lt is SQLType.TEXT and rt is SQLType.TEXT
@@ -393,7 +378,7 @@ class VectorExprCompiler:
     def _compile_arith(self, expr: ax.BinOp) -> VectorExpr:
         op = expr.op
         left, right = self.compile(expr.left), self.compile(expr.right)
-        lt, rt = self._static_type(expr.left), self._static_type(expr.right)
+        lt, rt = self._type(expr.left), self._type(expr.right)
         numeric = lt in _NUMERIC and rt in _NUMERIC
         if op in ("+", "-", "*", "/", "%") and numeric:
             # Constants broadcast into the bulk kernels as scalars.
@@ -439,59 +424,30 @@ class VectorExprCompiler:
 
     def _compile_like(self, expr: ax.BinOp) -> VectorExpr:
         case_insensitive = expr.op == "ilike"
-        operand = self.compile(expr.left)
-
+        left = self.compile(expr.left)
         if isinstance(expr.right, ax.Const) and isinstance(expr.right.value, str):
+            # A constant pattern compiles once, here; text values match
+            # inline, NULLs and mistyped values take the one full body.
             pattern = expr.right.value
-            regex = _like_to_regex(
-                pattern.lower() if case_insensitive else pattern
-            )
-
-            def run_const(batch: Batch, env: Env) -> list[Value]:
-                out: list[Value] = []
-                for value in column_values(operand(batch, env)):
-                    if value is None:
-                        out.append(None)
-                        continue
-                    if not isinstance(value, str):
-                        raise ExecutionError("LIKE requires text operands")
-                    target = value.lower() if case_insensitive else value
-                    out.append(regex.match(target) is not None)
-                return out
-
-            return run_const
-
-        pattern_fn = self.compile(expr.right)
-
-        def run(batch: Batch, env: Env) -> list[Value]:
-            out: list[Value] = []
+            matcher = like_matcher(pattern, case_insensitive)
+            return lambda batch, env: [
+                (matcher(v.lower() if case_insensitive else v) is not None)
+                if isinstance(v, str)
+                else like_match(v, pattern, case_insensitive)
+                for v in column_values(left(batch, env))
+            ]
+        right = self.compile(expr.right)
+        return lambda batch, env: [
+            like_match(value, pattern, case_insensitive)
             for value, pattern in zip(
-                column_values(operand(batch, env)),
-                column_values(pattern_fn(batch, env)),
-            ):
-                if value is None or pattern is None:
-                    out.append(None)
-                    continue
-                if not isinstance(value, str) or not isinstance(pattern, str):
-                    raise ExecutionError("LIKE requires text operands")
-                regex = _like_to_regex(pattern.lower() if case_insensitive else pattern)
-                target = value.lower() if case_insensitive else value
-                out.append(regex.match(target) is not None)
-            return out
-
-        return run
+                column_values(left(batch, env)), column_values(right(batch, env))
+            )
+        ]
 
     # ------------------------------------------------------------------
     def _compile_func(self, expr: ax.FuncExpr) -> VectorExpr:
         args = [self.compile(a) for a in expr.args]
-        name = expr.name
-        try:
-            impl = _FUNCTIONS[name]
-        except KeyError:
-            raise PlanError(f"unknown function {name!r}") from None
-        expected = _FUNCTION_ARITY.get(name)
-        if expected is not None and len(args) not in expected:
-            raise PlanError(f"function {name} called with {len(args)} arguments")
+        impl = lookup(expr.name).kernel
 
         if not args:
             return lambda batch, env: [impl([]) for _ in range(batch.length)]

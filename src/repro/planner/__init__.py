@@ -1,12 +1,3 @@
 """Planner: logical algebra -> physical operator trees."""
 
 from .planner import Planner, plan  # noqa: F401
-
-
-def __getattr__(name: str):
-    if name == "ENGINES":
-        # Live view of the backend registry (see repro.backend.registry).
-        from . import planner as _planner
-
-        return _planner.ENGINES
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -32,16 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..backend.sqlite import SQLiteBackend
 
 
-def __getattr__(name: str):
-    if name == "ENGINES":
-        # Historic constant, now a live view of the backend registry so
-        # third-party backends appear everywhere the tuple was consulted.
-        from ..backend.registry import engine_names
-
-        return engine_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class Planner:
     """Builds physical plans against a catalog.
 

@@ -34,6 +34,10 @@ _QUERIES = [
     "SELECT DISTINCT grp FROM t",
     "SELECT count(*), min(k), max(k) FROM t WHERE flag",
     "SELECT PROVENANCE grp, sum(k) FROM t GROUP BY grp",
+    # One varargs UDF per repro.scalars entry: every arity must bind.
+    "SELECT k, substring(grp || 'xyz', 2), substring(grp || 'xyz', 2, 2), "
+    "round(x), round(x, 1), abs(k - 5), concat(grp, 'x', grp), "
+    "coalesce(NULL, k), coalesce(NULL, NULL, k, 1) FROM t ORDER BY k",
 ]
 
 

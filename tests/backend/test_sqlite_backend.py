@@ -13,7 +13,8 @@ import pytest
 
 import repro
 from repro.algebra import expressions as ax
-from repro.algebra.to_sql import BROWSER_DIALECT, SQLiteDialect, expr_to_sql
+from repro.algebra.to_sql import expr_to_sql
+from repro.backend.dialects import BROWSER_DIALECT, SQLiteDialect
 from repro.backend.sqlite import SQLiteBackend, SQLiteQueryOp
 from repro.datatypes import SQLType
 from repro.errors import ExecutionError, ProgrammingError

@@ -1,9 +1,7 @@
 """DB-API 2.0 front end: connections, cursors, prepared statements,
-the plan cache, and the deprecated PermDB shim."""
+and the plan cache."""
 
 from __future__ import annotations
-
-import warnings
 
 import pytest
 
@@ -11,7 +9,6 @@ import repro
 from repro import (
     Connection,
     ParseError,
-    PermDB,
     PermError,
     ProgrammingError,
     connect,
@@ -296,13 +293,6 @@ class TestBugfixes:
             with pytest.raises(ParseError, match="contains no SQL"):
                 conn.execute(sql)
 
-    def test_empty_statement_consistent_on_shim(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            db = PermDB()
-        with pytest.raises(ParseError, match="contains no SQL"):
-            db.execute("  -- nothing")
-
     def test_explain_mode_case_insensitive(self, conn):
         assert conn.explain("SELECT a FROM t", mode="PLAN") == conn.explain(
             "SELECT a FROM t", mode="plan"
@@ -325,36 +315,3 @@ class TestBugfixes:
         """EXPLAIN never executes, so placeholders need no values."""
         result = conn.execute("EXPLAIN REWRITE SELECT PROVENANCE a FROM t WHERE a > ?")
         assert any("?" in row[0] for row in result.relation.rows)
-
-
-class TestPermDBShim:
-    def test_constructor_warns(self):
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            PermDB()
-
-    def test_shim_runs_the_old_quickstart(self):
-        """The pre-2.0 quickstart (module docstring of the seed) must
-        keep working verbatim on the shim."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            db = PermDB()
-        db.execute("CREATE TABLE messages (mid int, text text, uid int)")
-        db.execute("INSERT INTO messages VALUES (1, 'lorem ipsum', 3)")
-        result = db.execute("SELECT PROVENANCE text FROM messages")
-        assert result.columns == [
-            "text",
-            "prov_messages_mid",
-            "prov_messages_text",
-            "prov_messages_uid",
-        ]
-        assert result.rows == [("lorem ipsum", 1, "lorem ipsum", 3)]
-
-    def test_shim_is_a_connection(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            db = PermDB()
-        assert isinstance(db, Connection)
-        # New-style API still reachable through the shim.
-        db.execute("CREATE TABLE t (a int); INSERT INTO t VALUES (1)")
-        assert db.cursor().execute("SELECT a FROM t").fetchall() == [(1,)]
-        assert db.prepare("SELECT a FROM t").execute().rows == [(1,)]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import AnalyzeError, CatalogError, ExecutionError, PermDB, PermError, connect
+from repro import AnalyzeError, CatalogError, ExecutionError, PermError, connect
 
 
 @pytest.fixture
@@ -156,9 +156,6 @@ class TestSessionBasics:
 
         conn = connect()
         assert isinstance(conn, Connection)
-        # The deprecated shim is a Connection too, so either front end
-        # works wherever the other is expected.
-        assert issubclass(PermDB, Connection)
 
     def test_multi_statement_returns_last(self, db):
         result = db.run("CREATE TABLE t (a int); INSERT INTO t VALUES (1); SELECT a FROM t")
@@ -178,13 +175,10 @@ class TestSessionBasics:
         with pytest.raises(ExecutionError):
             db.run("SELECT 1 / a FROM t")
 
-    def test_docstring_example(self):
-        with pytest.warns(DeprecationWarning, match="repro.connect"):
-            db = PermDB()
-        # The shim's execute() returns the Relation directly.
-        db.execute("CREATE TABLE r (a int, b text)")
-        db.execute("INSERT INTO r VALUES (1, 'x'), (2, 'y')")
-        assert db.execute("SELECT PROVENANCE a FROM r WHERE a > 1").columns == [
+    def test_docstring_example(self, db):
+        db.run("CREATE TABLE r (a int, b text)")
+        db.run("INSERT INTO r VALUES (1, 'x'), (2, 'y')")
+        assert db.run("SELECT PROVENANCE a FROM r WHERE a > 1").columns == [
             "a",
             "prov_r_a",
             "prov_r_b",

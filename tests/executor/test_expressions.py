@@ -62,7 +62,8 @@ class TestFunctions:
         [
             ("abs(-3)", 3),
             ("round(2.567, 2)", 2.57),
-            ("round(2.5)", 2),  # banker's rounding, as Python/IEEE
+            ("round(2.5)", 2.0),  # banker's rounding, as Python/IEEE
+            ("round(3.5)", 4.0),
             ("floor(2.9)", 2),
             ("ceil(2.1)", 3),
             ("sqrt(9)", 3.0),
