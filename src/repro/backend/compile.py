@@ -46,6 +46,17 @@ min/max/count aggregation, DISTINCT, ORDER BY, LIMIT, parameter
 placeholders, EXISTS/IN sublinks (correlated or not) — runs natively in
 the target's engine.
 
+**Join-key index requests.** The provenance rewrite joins every
+aggregate back to its input on the group-by columns, and a target that
+holds the mirror without any index answers that with a nested scan. So
+each emitted join reports, per side, the base-table columns its
+equality / null-safe-equality conjuncts compare (a bare column traced
+through Project/Select to a ``Scan``); the requests ride on the compiled
+operator and reach :meth:`~repro.backend.runtime.MirrorAdapter
+.ensure_index` after the tables are synced. They are access-path hints
+only: the final ORDER BY over the ordinals fixes row order whatever
+join order the target then picks.
+
 **Exact integer semantics.** The engine's Python integers are unbounded
 while pushdown targets hold 64-bit integers, and e.g. SQLite silently
 promotes overflowing integer arithmetic to REAL (losing precision)
@@ -150,6 +161,10 @@ class PushdownCompiler:
         self._aliases = count()
         self._ords = count()
         self.table_names: list[str] = []
+        # (catalog table, stored columns) per resolved equi-join key.
+        self.index_requests: list[tuple[str, tuple[str, ...]]] = []
+        # One line per subtree handed to the row engine (EXPLAIN).
+        self.fallbacks: list[str] = []
         self.slots: list[SubplanSlot] = []
         self.limit_binds: list[LimitBind] = []
         self.param_labels: dict[int, str] = {}
@@ -183,6 +198,8 @@ class PushdownCompiler:
             self.planner.params,
             rescue_planner=self.planner,
             rescue_node=node,
+            index_requests=self.index_requests,
+            fallbacks=self.fallbacks,
         )
 
     # ------------------------------------------------------------------
@@ -215,15 +232,21 @@ class PushdownCompiler:
         slots = len(self.slots)
         limits = len(self.limit_binds)
         tables = len(self.table_names)
+        indexes = len(self.index_requests)
+        fallbacks = len(self.fallbacks)
         labels = dict(self.param_labels)
         try:
             return self._dispatch(node)
-        except Unsupported:
+        except Unsupported as reason:
             del self.slots[slots:]
             del self.limit_binds[limits:]
             del self.table_names[tables:]
+            del self.index_requests[indexes:]
+            del self.fallbacks[fallbacks:]
             self.param_labels = labels
-            return self._fallback(node)
+            compiled = self._fallback(node)
+            self.fallbacks.append(f"{node.label()}: {reason}")
+            return compiled
 
     def _dispatch(self, node: an.Node) -> _Compiled:
         method = getattr(self, "_compile_" + type(node).__name__.lower(), None)
@@ -353,6 +376,7 @@ class PushdownCompiler:
         )
         if node.condition is not None:
             sql += f" ON {self._expr(node.condition, node.schema)}"
+            self._request_join_indexes(node)
 
         # Row-engine order: probe(left)-major, then build(right) order;
         # unmatched build rows (right/full) appended last via the left
@@ -361,6 +385,55 @@ class PushdownCompiler:
         # compared among real matches of one left row and keep their
         # own semantics unchanged.
         return _Compiled(sql, left_ords + right.ords)
+
+    def _request_join_indexes(self, node: an.Join) -> None:
+        """Ask for an index on every base table a key of this join
+        resolves to: per equality / null-safe-equality conjunct comparing
+        the two inputs, each side that is a bare column of a ``Scan``
+        contributes that stored column — several conjuncts over one scan
+        make one composite request, in conjunct order. Both sides are
+        requested (the target picks its inner side later); a key that is
+        an expression requests nothing for its side."""
+        inputs = (node.left, node.right)
+        keys: dict[int, tuple[str, list[str]]] = {}
+        for part in ax.conjuncts(node.condition):
+            if not (
+                (isinstance(part, ax.BinOp) and part.op == "=")
+                or (isinstance(part, ax.DistinctTest) and part.negated)
+            ):
+                continue
+            operands = (part.left, part.right)
+            # The input each operand is computed from; comparing the two
+            # inputs makes the conjunct a join key (anything else — a
+            # constant, one input twice — is a filter).
+            sides = [
+                next(
+                    (
+                        side
+                        for side in inputs
+                        if used and all(side.schema.has(n) for n in used)
+                    ),
+                    None,
+                )
+                for used in map(ax.columns_used, operands)
+            ]
+            if None in sides or sides[0] is sides[1]:
+                continue
+            for operand, side in zip(operands, sides):
+                origin = (
+                    _base_column(side, operand.name)
+                    if isinstance(operand, ax.Column)
+                    else None
+                )
+                if origin is not None:
+                    scan, column = origin
+                    columns = keys.setdefault(id(scan), (scan.table_name, []))[1]
+                    if column not in columns:
+                        columns.append(column)
+        for table, columns in keys.values():
+            request = (table, tuple(columns))
+            if request not in self.index_requests:
+                self.index_requests.append(request)
 
     def _compile_aggregate(self, node: an.Aggregate) -> _Compiled:
         child_schema = node.child.schema
@@ -857,6 +930,23 @@ def _order_realized(node: an.Node) -> bool:
     if isinstance(node, _ORDER_PRESERVING):
         return _order_realized(node.child)
     return False
+
+
+def _base_column(node: an.Node, name: str) -> Optional[tuple[an.Scan, str]]:
+    """The ``Scan`` and stored column that attribute *name* of *node* is
+    a plain copy of, following renames through Project and passing
+    through Select; ``None`` once anything computes, groups or combines."""
+    while True:
+        if isinstance(node, an.Scan):
+            return node, node.columns[node.schema.index_of(name)]
+        if isinstance(node, an.Project):
+            expr = node.items[node.schema.index_of(name)][1]
+            if not isinstance(expr, ax.Column):
+                return None
+            name = expr.name
+        elif not isinstance(node, (an.Select, an.BaseRelationNode)):
+            return None
+        node = node.child
 
 
 def _tree_names(node: an.Node) -> set[str]:

@@ -69,7 +69,7 @@ from ..executor.iterators import PhysicalOp
 from .compile import OrdKey, PushdownCompiler, Unsupported, compile_pushdown_plan
 from .dialects.base import quote_identifier_always as q
 from .dialects.sqlite import SQLiteDialect
-from .runtime import adapt_row, adapt_value
+from .runtime import IntegerRangeEscape, adapt_row, adapt_value
 from .sqlite import SQLiteBackend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -107,8 +107,12 @@ class _ShardBackend(SQLiteBackend):
 
     The only changes are the three mirror hooks — each mirrored table
     stores rows with ``pos % shard_count == shard_index`` plus their
-    global position, which doubles as the scan ordinal.
+    global position, which doubles as the scan ordinal. Positions (and
+    with them the slice a row belongs to) shift under any delete, so a
+    shard follows the heap by reloading, never by row-level deltas.
     """
+
+    delta_sync = False
 
     def __init__(self, catalog: "Catalog", shard_index: int, shard_count: int):
         super().__init__(catalog)
@@ -172,6 +176,20 @@ class PartitionedSQLiteBackend:
                 max_workers=self.shard_count, thread_name_prefix="repro-shard"
             )
         return self._pool
+
+    def counters(self) -> dict:
+        """The members' adapter counters summed (every shard, plus the
+        full backend once a plan has delegated)."""
+        members = self.shards + ([self._full] if self._full is not None else [])
+        total: dict = {"reload_reasons": {}}
+        for member in members:
+            for name, value in member.counters().items():
+                if name == "reload_reasons":
+                    for reason, count in value.items():
+                        total[name][reason] = total[name].get(reason, 0) + count
+                else:
+                    total[name] = total.get(name, 0) + value
+        return total
 
     def close(self) -> None:
         for shard in self.shards:
@@ -607,6 +625,27 @@ class PartitionedQueryOp(PhysicalOp):
             return self._rescue(env)
         backend.partitioned_statements += 1
         return merged
+
+    def explain(self) -> str:
+        """What the shards were given, for ``EXPLAIN`` (the partitioned
+        counterpart of :meth:`PushdownQueryOp.explain`; a partitioned
+        statement has no fallbacks and no joins to index)."""
+        backend = self.backend
+        shard = backend.shards[0]
+        lines = [
+            f"pushdown statement (on each of {backend.shard_count} shards, "
+            f"{self.merge_plan.kind} merge):",
+            self.sql,
+            "backend plan (shard 0):",
+        ]
+        try:
+            for name in self.table_names:
+                shard.sync_table(name)
+            plan = shard.native_plan(self.sql, {f"p{i}": None for i in self.param_labels})
+        except IntegerRangeEscape as escape:
+            plan = f"none: the row engine answers this query ({escape})"
+        lines += [f"  {line}" for line in plan.splitlines()]
+        return "\n".join(lines)
 
     def _bind_params(self) -> dict[str, Value]:
         binds: dict[str, Value] = {}

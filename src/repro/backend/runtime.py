@@ -128,6 +128,9 @@ class MirrorAdapter:
     * :meth:`sync_table` — bring the mirror of a catalog table up to
       date (keyed on snapshot identity; must raise
       :class:`IntegerRangeEscape` for values the target cannot hold).
+    * :meth:`ensure_index` / :meth:`native_plan` — optional: the
+      compiler's join-key index requests (default: ignore them) and the
+      target's own plan of a statement for ``EXPLAIN`` (default: none).
     * :meth:`scan_source` / :meth:`scan_ordinal` — how a base-table
       scan is spelled and which hidden column yields the engine's heap
       order (``None`` if no such column can be exposed).
@@ -148,7 +151,9 @@ class MirrorAdapter:
 
     The base class provides the generic bookkeeping every adapter
     shares: fragment/slot id allocation, the slot-state table the slot
-    UDF reads, the pending-error side channel, and counters.
+    UDF reads, the pending-error side channel, and counters
+    (:meth:`counters`; an adapter that never reloads, delta-syncs or
+    indexes simply leaves those at zero).
     """
 
     #: Dialect class for this adapter (static facts; no instance needed).
@@ -171,7 +176,14 @@ class MirrorAdapter:
         self._slot_states: dict[int, tuple[str, object]] = {}
         self._pending_error: Optional[BaseException] = None
         self.statements_executed = 0
+        # sync_table calls that changed the mirror; each is either a
+        # reload (why: reload_reasons) or a delta sync.
         self.tables_synced = 0
+        self.mirror_reloads = 0
+        self.mirror_delta_syncs = 0
+        self.mirror_rows_applied = 0
+        self.indexes_built = 0
+        self.reload_reasons: dict[str, int] = {}
 
     # -- identifiers ---------------------------------------------------
     def fresh_fragment_name(self) -> str:
@@ -220,6 +232,32 @@ class MirrorAdapter:
     def run_statement(self, sql: str, binds: dict[str, Value]) -> list[Row]:
         raise NotImplementedError
 
+    def ensure_index(self, table: str, columns: Sequence[str]) -> None:
+        """Optional: the compiler found an equi-join keyed on *columns*
+        (stored column names, in conjunct order) of catalog table
+        *table*, already synced. Called on every execution of such a
+        statement, so an implementation must make repeats free. Purely
+        an access-path hint — results may not depend on it. Default:
+        ignore it."""
+
+    def native_plan(self, sql: str, binds: dict[str, Value]) -> Optional[str]:
+        """Optional: the target DBMS's own plan for a compiled statement
+        (its ``EXPLAIN``), for the engine's ``EXPLAIN`` output. Default:
+        not available."""
+        return None
+
+    def counters(self) -> dict:
+        """The adapter's cumulative counters (server ``STATS``)."""
+        return {
+            "statements_executed": self.statements_executed,
+            "tables_synced": self.tables_synced,
+            "mirror_reloads": self.mirror_reloads,
+            "mirror_delta_syncs": self.mirror_delta_syncs,
+            "mirror_rows_applied": self.mirror_rows_applied,
+            "indexes_built": self.indexes_built,
+            "reload_reasons": dict(self.reload_reasons),
+        }
+
     def make_query_op(
         self,
         sql: str,
@@ -231,6 +269,8 @@ class MirrorAdapter:
         params: ParamContext,
         rescue_planner=None,
         rescue_node=None,
+        index_requests: Sequence[tuple[str, tuple[str, ...]]] = (),
+        fallbacks: Sequence[str] = (),
     ) -> "PushdownQueryOp":
         return PushdownQueryOp(
             self,
@@ -243,6 +283,8 @@ class MirrorAdapter:
             params,
             rescue_planner=rescue_planner,
             rescue_node=rescue_node,
+            index_requests=index_requests,
+            fallbacks=fallbacks,
         )
 
     def close(self) -> None:  # pragma: no cover - trivial default
@@ -253,16 +295,23 @@ class PushdownQueryOp(PhysicalOp):
     """A compiled pushdown statement as a physical plan.
 
     ``rows(env)`` (the executor contract) syncs the mirrored base
-    tables, evaluates sublink/fallback slots with the row engine, binds
-    parameters from the shared :class:`ParamContext`, runs the single
-    SQL statement, and adapts values back (0/1 -> bool per the static
-    output schema).
+    tables, passes on the compiler's join-key index requests, evaluates
+    sublink/fallback slots with the row engine, binds parameters from
+    the shared :class:`ParamContext`, runs the single SQL statement, and
+    adapts values back (0/1 -> bool per the static output schema).
+
+    ``index_requests`` (``(table, columns)`` per equi-join key the
+    compiler resolved to a base table) and ``fallbacks`` (one line per
+    subtree the compiler handed to the row engine, with the reason) are
+    what the compiler knew beyond the SQL text; ``EXPLAIN`` prints both.
     """
 
     __slots__ = (
         "backend",
         "sql",
         "table_names",
+        "index_requests",
+        "fallbacks",
         "slots",
         "limit_binds",
         "param_labels",
@@ -285,11 +334,15 @@ class PushdownQueryOp(PhysicalOp):
         params: ParamContext,
         rescue_planner=None,
         rescue_node=None,
+        index_requests: Sequence[tuple[str, tuple[str, ...]]] = (),
+        fallbacks: Sequence[str] = (),
     ):
         self.backend = backend
         self.sql = sql
         self.schema = schema
         self.table_names = tuple(table_names)
+        self.index_requests = tuple(index_requests)
+        self.fallbacks = tuple(fallbacks)
         self.slots = tuple(slots)
         self.limit_binds = tuple(limit_binds)
         self.param_labels = dict(param_labels)
@@ -311,10 +364,16 @@ class PushdownQueryOp(PhysicalOp):
     def rows(self, env: Env) -> Iterator[Row]:
         return iter(self._execute(env))
 
+    def _sync(self) -> None:
+        """Mirrors current, requested indexes in place."""
+        for name in self.table_names:
+            self.backend.sync_table(name)
+        for table, columns in self.index_requests:
+            self.backend.ensure_index(table, columns)
+
     def _execute(self, env: Env) -> list[Row]:
         try:
-            for name in self.table_names:
-                self.backend.sync_table(name)
+            self._sync()
         except IntegerRangeEscape:
             return self._rescue(env)
 
@@ -328,6 +387,37 @@ class PushdownQueryOp(PhysicalOp):
         finally:
             self._release_slots()
         return self._adapt(raw)
+
+    def explain(self) -> str:
+        """What the backend was given, for ``EXPLAIN``: the compiled
+        statement, the subtrees that stayed on the row engine, the index
+        requests, and the target's own plan of the statement (planned
+        against synced mirrors and empty fragment tables; nothing is
+        executed)."""
+        lines = [f"pushdown statement ({type(self.backend).__name__}):", self.sql]
+        lines.append("row-engine fallbacks:")
+        lines += [f"  {line}" for line in self.fallbacks] or ["  none"]
+        lines.append("index requests:")
+        lines += [
+            f"  {table} ({', '.join(columns)})" for table, columns in self.index_requests
+        ] or ["  none"]
+        lines.append("backend plan:")
+        try:
+            self._sync()
+            for slot in self.slots:
+                if slot.frag_table is not None:
+                    self.backend.materialize_fragment(
+                        slot.frag_table, [], len(slot.plan.schema)
+                    )
+            binds: dict[str, Value] = {f"p{i}": None for i in self.param_labels}
+            binds.update({bind.bind_name: None for bind in self.limit_binds})
+            plan = self.backend.native_plan(self.sql, binds)
+        except IntegerRangeEscape as escape:
+            plan = f"none: the row engine answers this query ({escape})"
+        finally:
+            self._release_slots()
+        lines += [f"  {line}" for line in (plan or "not available").splitlines()]
+        return "\n".join(lines)
 
     def _bind_params(self, env: Env) -> dict[str, Value]:
         binds: dict[str, Value] = {}

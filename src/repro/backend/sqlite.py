@@ -11,8 +11,8 @@ Pieces:
 
 * :class:`SQLiteBackend` — the :class:`~repro.backend.runtime
   .MirrorAdapter` for ``engine="sqlite"``: owns the ``sqlite3``
-  connection, mirrors catalog tables (synced per
-  :class:`~repro.storage.table.HeapTable` version), registers the
+  connection, keeps an indexed replica of each catalog table (see
+  "Mirror lifecycle" below), registers the
   ``repro_*`` user-defined functions that give SQLite *exactly* the
   scalar semantics of :mod:`repro.scalars` (including raised
   errors, which travel through a side channel because sqlite3 swallows
@@ -29,11 +29,31 @@ round-trip without coercion. BOOL has no SQLite storage class: ``True``
 /``False`` become 1/0 on the way in and are restored on the way out
 using the plan's static output types.
 
+Mirror lifecycle: a table is **loaded** in full the first time a
+statement scans it, with the mirror's ``rowid`` set to the heap's hidden
+row id (so ``ORDER BY rowid`` is heap order and a changed row can be
+addressed directly). From then on the mirror remembers only the version
+stamp it is at; when the visible stamp differs it asks the heap for the
+row-level change between the two (:meth:`~repro.storage.table.HeapTable
+.changes_since`) and applies it as ``DELETE`` / ``UPDATE`` / ``INSERT``
+by rowid — work proportional to the change. It **reloads** (the same
+code as the first load) only when it must: the table object or schema
+changed, the heap has no delta between the two stamps (a coarse write, a
+transaction's own uncommitted writes, a trimmed log), the delta exceeds
+a fixed share of the table, or the mirror is positional (row ids not
+ascending — a maintained view's heap, say — or a subclass with
+``delta_sync = False``). Each reload records its reason in
+:attr:`~repro.backend.runtime.MirrorAdapter.reload_reasons`. Join-key
+indexes the compiler requests (:meth:`SQLiteBackend.ensure_index`) are
+built once per table, kept current by the row-level statements, and
+rebuilt after a reload.
+
 The partitioned variant (:mod:`repro.backend.partition`) subclasses
 :class:`SQLiteBackend` per shard, overriding only the mirror hooks
 (:meth:`SQLiteBackend._mirror_columns` /
 :meth:`SQLiteBackend._mirror_rows` / :meth:`SQLiteBackend.scan_ordinal`)
-to store each table slice with an explicit global-position column.
+to store each table slice with an explicit global-position column; a
+slice's positions shift under any delete, so shards always reload.
 """
 
 from __future__ import annotations
@@ -71,6 +91,27 @@ KAHAN_SUM_VERSION = (3, 44, 0)
 
 _ROWID_NAMES = ("rowid", "_rowid_", "oid")
 
+#: A delta touching more than one row in this many reloads instead: past
+#: that, per-row statements cost more than one bulk load.
+_RELOAD_SHARE = 4
+
+
+class _Mirror:
+    """What the backend remembers about one mirrored table: which heap
+    object, at which version stamp and schema — never the rows. ``rowid``
+    is the rowid alias the mirror stores heap row ids under (``None``: a
+    positional mirror no delta can address); ``unmirrorable`` marks a
+    version whose load hit a value SQLite cannot hold."""
+
+    __slots__ = ("heap", "version", "schema", "rowid", "unmirrorable")
+
+    def __init__(self, heap, version, schema, rowid, unmirrorable=False):
+        self.heap = heap
+        self.version = version
+        self.schema = schema
+        self.rowid = rowid
+        self.unmirrorable = unmirrorable
+
 
 class SQLiteQueryOp(PushdownQueryOp):
     """The physical plan object for ``engine="sqlite"`` (the generic
@@ -83,6 +124,11 @@ class SQLiteBackend(MirrorAdapter):
     """One in-memory SQLite database mirroring one catalog."""
 
     dialect_class = SQLiteDialect
+
+    #: Whether mirrors are keyed on heap row ids and follow the heap by
+    #: row-level deltas. Subclasses whose :meth:`_mirror_rows` stores
+    #: something other than the plain rows turn it off and always reload.
+    delta_sync = True
 
     def __init__(self, catalog: "Catalog"):
         if sqlite3.sqlite_version_info < MIN_SQLITE_VERSION:
@@ -99,8 +145,10 @@ class SQLiteBackend(MirrorAdapter):
         self.connection = sqlite3.connect(":memory:", check_same_thread=False)
         self.supports_full_join = sqlite3.sqlite_version_info >= FULL_JOIN_VERSION
         self.native_float_agg = sqlite3.sqlite_version_info < KAHAN_SUM_VERSION
-        # table key -> (heap object, heap version, schema signature)
-        self._mirror: dict[str, tuple] = {}
+        self._mirror: dict[str, _Mirror] = {}  # by lowercased table name
+        # table key -> requested index column tuples, in request order
+        # (remembered across reloads, which drop the indexes themselves).
+        self._indexes: dict[str, list[tuple[str, ...]]] = {}
         self._register_udfs()
 
     # ------------------------------------------------------------------
@@ -159,7 +207,7 @@ class SQLiteBackend(MirrorAdapter):
 
     def _mirror_rows(self, heap: "HeapTable") -> Iterable[Row]:
         """Rows to load into the mirror (already storage-adapted)."""
-        if any(a.type is SQLType.BOOL for a in heap.schema):
+        if _has_bool(heap):
             return (adapt_row(r) for r in heap.rows)
         # Fast path: heap rows are plain tuples of SQLite-native
         # values, no per-row conversion needed.
@@ -168,52 +216,173 @@ class SQLiteBackend(MirrorAdapter):
     def sync_table(self, name: str) -> None:
         """Bring the SQLite mirror of catalog table *name* up to date.
 
-        Cheap when nothing changed: the mirror entry stores the heap's
-        identity, version stamp and schema signature; a full reload
-        happens only after DML or a drop/recreate. ``heap.version`` and
+        Free when nothing changed: the mirror remembers the heap's
+        identity, version stamp and schema. ``heap.version`` and
         ``heap.rows`` resolve through the active transaction
         (:mod:`repro.storage.mvcc`), so the mirror is keyed on *snapshot
         identity*: inside a transaction the backend executes against the
         transaction's stable snapshot (or its own staged writes), and
-        concurrent commits elsewhere re-sync only the next statement
-        that runs outside it."""
-        entry = self.catalog.scan_entry(name)
-        heap = entry.table
+        concurrent commits elsewhere reach the mirror with the next
+        statement that runs outside it. A changed stamp is followed by a
+        row-level delta where the heap can supply one, else by a reload
+        (module docstring, "Mirror lifecycle")."""
+        heap = self.catalog.scan_entry(name).table
         key = name.lower()
-        # The signature holds the heap object itself (not id(heap)): a
-        # dropped table's reused address plus a coinciding version
-        # counter must never read as "already synced".
-        signature = (
-            heap,
-            heap.version,
-            tuple((a.name, a.type) for a in heap.schema),
-        )
-        known = self._mirror.get(key)
-        if known is not None and known[0] is heap and known[1:] == signature[1:]:
+        version = heap.version
+        schema = tuple((a.name, a.type) for a in heap.schema)
+        mirror = self._mirror.get(key)
+        if mirror is None:
+            reason = "first load"
+        elif mirror.heap is not heap or mirror.schema != schema:
+            # The heap object itself is compared (not id(heap)): a dropped
+            # table's reused address plus a coinciding version counter
+            # must never read as "already synced". Index requests named
+            # the old table's columns; live plans will ask again.
+            reason = "schema"
+            self._indexes.pop(key, None)
+        elif mirror.version == version:
+            if mirror.unmirrorable:
+                raise IntegerRangeEscape(
+                    f"table {name!r} holds an integer beyond int64"
+                )
             return
-        qname = f"main.{quote_identifier(key)}"
-        columns = ", ".join(self._mirror_columns(heap))
-        self.connection.execute(f"DROP TABLE IF EXISTS {qname}")
-        self.connection.execute(f"CREATE TABLE {qname} ({columns})")
-        placeholders = ", ".join("?" for _ in self._mirror_columns(heap))
-        insert = f"INSERT INTO {qname} VALUES ({placeholders})"
+        else:
+            reason = self._apply_delta(key, mirror, heap)
+            if reason is None:
+                mirror.version = version
+                self.tables_synced += 1
+                return
+        self._reload(key, heap, version, schema, reason)
+
+    def _apply_delta(
+        self, key: str, mirror: _Mirror, heap: "HeapTable"
+    ) -> Optional[str]:
+        """Move *mirror* to the heap's visible state by row-level
+        statements; returns ``None`` when done, else why it takes a
+        reload."""
+        if mirror.rowid is None:
+            return "no delta"
+        changes = heap.changes_since(mirror.version)
+        if changes is None:
+            return "no delta"
+        deleted, upserted, appended = changes
+        applied = len(deleted) + len(upserted) + len(appended)
+        if applied * _RELOAD_SHARE > len(heap.rows):
+            return "delta too large"
+        qname = self.scan_source(key)
+        rowid = mirror.rowid
+        columns = [quote_identifier(a.name) for a in heap.schema]
+        if _has_bool(heap):
+            upserted = [(rid, adapt_row(row)) for rid, row in upserted]
+            appended = [(rid, adapt_row(row)) for rid, row in appended]
+        execute = self.connection.executemany
         try:
-            self.connection.executemany(insert, self._mirror_rows(heap))
-        except OverflowError as exc:
-            # A stored integer beyond int64 cannot be mirrored; escape to
-            # the row engine, which reads the heap directly and computes
-            # with full precision.
-            self._mirror.pop(key, None)
-            raise IntegerRangeEscape(
-                f"table {name!r} holds an integer beyond int64"
-            ) from exc
+            if deleted:
+                execute(
+                    f"DELETE FROM {qname} WHERE {rowid} = ?",
+                    [(rid,) for rid in deleted],
+                )
+            if upserted:
+                assignments = ", ".join(f"{c} = ?" for c in columns)
+                execute(
+                    f"UPDATE {qname} SET {assignments} WHERE {rowid} = ?",
+                    [row + (rid,) for rid, row in upserted],
+                )
+            if appended:
+                execute(
+                    f"INSERT INTO {qname} ({', '.join([rowid] + columns)}) "
+                    f"VALUES ({', '.join('?' * (len(columns) + 1))})",
+                    [(rid,) + row for rid, row in appended],
+                )
+        except OverflowError:
+            # An integer beyond int64 arrived by UPDATE/INSERT and the
+            # mirror is now half-applied; the reload hits the same value
+            # and records the verdict.
+            return "unmirrorable"
         except sqlite3.Error as exc:
             self._mirror.pop(key, None)
             raise ExecutionError(
-                f"cannot mirror table {name!r} into the sqlite backend: {exc}"
+                f"cannot mirror table {heap.name!r} into the sqlite backend: {exc}"
             ) from exc
-        self._mirror[key] = signature
+        self.connection.commit()
+        self.mirror_delta_syncs += 1
+        self.mirror_rows_applied += applied
+        return None
+
+    def _reload(
+        self, key: str, heap: "HeapTable", version: int, schema: tuple, reason: str
+    ) -> None:
+        """(Re)create the mirror of *heap* from its visible rows — the
+        first load and every reload — and rebuild the table's requested
+        indexes. Where the heap's row ids ascend they become the
+        mirror's rowids, which is what a later delta addresses rows by;
+        otherwise rowid is the load position and the next change
+        reloads."""
+        qname = self.scan_source(key)
+        columns = self._mirror_columns(heap)
+        rows = self._mirror_rows(heap)
+        self.connection.execute(f"DROP TABLE IF EXISTS {qname}")
+        self.connection.execute(f"CREATE TABLE {qname} ({', '.join(columns)})")
+        ids = heap.row_ids
+        rowid = None
+        if self.delta_sync and ids == sorted(ids):
+            rowid = self.scan_ordinal([a.name for a in heap.schema])
+        if rowid is not None:
+            columns = [rowid] + columns
+            rows = ((rid,) + row for rid, row in zip(ids, rows))
         self.tables_synced += 1
+        self.mirror_reloads += 1
+        try:
+            self.connection.executemany(
+                f"INSERT INTO {qname} ({', '.join(columns)}) "
+                f"VALUES ({', '.join('?' * len(columns))})",
+                rows,
+            )
+        except OverflowError as exc:
+            # A stored integer beyond int64 cannot be mirrored; escape to
+            # the row engine, which reads the heap directly and computes
+            # with full precision. The verdict stands for this version,
+            # so later statements escape without loading again.
+            self._mirror[key] = _Mirror(heap, version, schema, None, True)
+            self._count_reload("unmirrorable")
+            raise IntegerRangeEscape(
+                f"table {heap.name!r} holds an integer beyond int64"
+            ) from exc
+        except sqlite3.Error as exc:
+            self._mirror.pop(key, None)
+            self._count_reload(reason)
+            raise ExecutionError(
+                f"cannot mirror table {heap.name!r} into the sqlite backend: {exc}"
+            ) from exc
+        self._mirror[key] = _Mirror(heap, version, schema, rowid)
+        self._count_reload(reason)
+        for index_columns in self._indexes.get(key, ()):
+            self._build_index(key, index_columns)
+        self.connection.commit()
+
+    def _count_reload(self, reason: str) -> None:
+        self.reload_reasons[reason] = self.reload_reasons.get(reason, 0) + 1
+
+    def ensure_index(self, table: str, columns: Sequence[str]) -> None:
+        """Index the mirror of *table* on *columns* unless it already
+        is; remembered per table so a reload rebuilds it."""
+        key = table.lower()
+        wanted = self._indexes.setdefault(key, [])
+        columns = tuple(columns)
+        if columns in wanted:
+            return
+        wanted.append(columns)
+        mirror = self._mirror.get(key)
+        if mirror is not None and not mirror.unmirrorable:
+            self._build_index(key, columns)
+
+    def _build_index(self, key: str, columns: tuple[str, ...]) -> None:
+        index = quote_identifier(f"#ix:{key}:{','.join(columns)}")
+        self.connection.execute(
+            f"CREATE INDEX main.{index} ON {quote_identifier(key)} "
+            f"({', '.join(quote_identifier(c) for c in columns)})"
+        )
+        self.indexes_built += 1
 
     def scan_source(self, table_key: str) -> str:
         return f"main.{quote_identifier(table_key)}"
@@ -283,11 +452,26 @@ class SQLiteBackend(MirrorAdapter):
         self.statements_executed += 1
         return rows
 
+    def native_plan(self, sql: str, binds: dict[str, Value]) -> Optional[str]:
+        """SQLite's ``EXPLAIN QUERY PLAN`` for *sql*, one indented line
+        per plan node."""
+        rows = self.connection.execute(f"EXPLAIN QUERY PLAN {sql}", binds).fetchall()
+        depth: dict[int, int] = {0: -1}
+        lines = []
+        for node, parent, _, detail in rows:
+            depth[node] = depth.get(parent, -1) + 1
+            lines.append("  " * depth[node] + detail)
+        return "\n".join(lines)
+
     def make_query_op(self, *args, **kwargs):
         return SQLiteQueryOp(self, *args, **kwargs)
 
     def close(self) -> None:
         self.connection.close()
+
+
+def _has_bool(heap: "HeapTable") -> bool:
+    return any(a.type is SQLType.BOOL for a in heap.schema)
 
 
 def _naive_aggregate_class(backend: SQLiteBackend, func: str):

@@ -45,7 +45,7 @@ from ..errors import (
 )
 from ..executor import execute_plan
 from ..executor.expr_eval import ExprCompiler
-from ..backend.registry import engine_names, unknown_engine_message
+from ..backend.registry import engine_names, get_spec, unknown_engine_message
 from ..sql import ast
 from ..sql.printer import format_query, format_statement
 from ..storage import mvcc
@@ -572,7 +572,9 @@ class Connection:
         rewritten algebra trees side by side (markers 3 and 4);
         ``"plan"`` — the optimized logical plan handed to the planner,
         each node annotated with its estimated output rows and cumulative
-        cost from the catalog statistics.
+        cost from the catalog statistics; on a pushdown engine followed
+        by what the backend was given (compiled SQL, row-engine
+        fallbacks, index requests, the backend's own plan).
         """
         from ..algebra.render import render_side_by_side, render_tree
         from ..algebra.to_sql import algebra_to_sql
@@ -594,7 +596,15 @@ class Connection:
                 headers=("original query", "rewritten query"),
             )
         assert profile.optimized is not None
-        return render_tree(profile.optimized, annotate=self._cost_annotator())
+        text = render_tree(profile.optimized, annotate=self._cost_annotator())
+        if get_spec(self.engine).kind == "pushdown":
+            describe = getattr(profile.physical, "explain", None)
+            text += "\n\n" + (
+                self._in_transaction(describe)
+                if describe is not None
+                else "pushdown: none (the whole plan runs on the row engine)"
+            )
+        return text
 
     def _cost_annotator(self):
         """Per-node ``(rows≈…, cost≈…)`` EXPLAIN annotations; nodes whose

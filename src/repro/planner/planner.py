@@ -111,6 +111,11 @@ class Planner:
         counts and the like)."""
         return (self.engine, self._engine_options)
 
+    def backend_counters(self) -> dict:
+        """The mirror backend's cumulative counters (syncs, reloads and
+        why, delta rows, indexes); empty while no backend exists."""
+        return self._backend.counters() if self._backend is not None else {}
+
     def close(self) -> None:
         """Release planner-owned resources (the mirror backend, if one
         was ever created)."""

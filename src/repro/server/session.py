@@ -175,6 +175,7 @@ class Session:
             "gc": self.database.gc_stats(),
             "wal": self.database.wal_stats(),
             "matviews": self.database.matview_stats(),
+            "backend": self._conn.planner.backend_counters() if self._conn else {},
         }
 
     # ------------------------------------------------------------------

@@ -234,6 +234,7 @@ class _Working:
         "_base_is_snapshot",
         "version",
         "written",
+        "inserted",
         "coarse",
     )
 
@@ -260,11 +261,16 @@ class _Working:
         # content) or deleted — the row-level write set. Fresh inserts
         # are never in it.
         self.written: set[int] = set()
+        # Ids of every row this transaction appended, ascending (some
+        # may since have been deleted again) — with ``written``, the
+        # row-level description of the commit for the table's delta log.
+        self.inserted: list[int] = []
         # A whole-table operation (truncate) that must keep
         # table-granularity conflicts.
         self.coarse = False
 
     def append(self, rows: Sequence["Row"], ids: Sequence[int]) -> None:
+        self.inserted.extend(ids)
         if self._rows is not None:
             self._rows.extend(rows)
             assert self._ids is not None
@@ -326,7 +332,7 @@ class _Working:
             return self._extra, self._extra_ids
         return None
 
-    def save(self) -> tuple[list["Row"], list[int], int, set[int], bool]:
+    def save(self) -> tuple[list["Row"], list[int], int, set[int], list[int], bool]:
         """Snapshot for SAVEPOINT (independent copies of the mutable
         lists; the row tuples themselves are immutable)."""
         return (
@@ -334,6 +340,7 @@ class _Working:
             list(self.visible_ids()),
             self.version,
             set(self.written),
+            list(self.inserted),
             self.coarse,
         )
 
@@ -445,6 +452,16 @@ class Transaction:
             return working.visible_ids()
         return self._base(table)[2]
 
+    def committed_view(
+        self, table: "HeapTable"
+    ) -> Optional[tuple[list["Row"], int, list[int]]]:
+        """The committed ``(rows, version, ids)`` state this transaction
+        sees of *table* — ``None`` once it has written the table (its
+        view is then private working state no committed stamp names)."""
+        if table in self._working:
+            return None
+        return self._base(table)
+
     # -- writes --------------------------------------------------------
     def _working_for(self, table: "HeapTable") -> _Working:
         working = self._working.get(table)
@@ -516,9 +533,10 @@ class Transaction:
                 # exactly: the content is bit-identical to what that
                 # stamp named, so statistics and plan deps recorded
                 # against it become valid again.
-                rows, ids, version, written, coarse = state
+                rows, ids, version, written, inserted, coarse = state
                 restored = _Working(rows, ids, version, base_is_snapshot=False)
                 restored.written = set(written)
+                restored.inserted = list(inserted)
                 restored.coarse = coarse
                 self._working[table] = restored
         del self._savepoints[index + 1 :]
@@ -561,11 +579,12 @@ class Transaction:
 
     def _merged_state(
         self, table: "HeapTable", working: _Working
-    ) -> Optional[tuple[list["Row"], list[int]]]:
+    ) -> Optional[tuple[list["Row"], list[int], list[int]]]:
         """Merge this transaction's per-row effects onto the table's
         *current* committed state (which contains other transactions'
-        disjoint writes). Returns ``None`` if a row this transaction
-        wrote no longer exists — the defensive signal to abort."""
+        disjoint writes): ``(rows, ids, ids of the rows it inserted)``.
+        Returns ``None`` if a row this transaction wrote no longer
+        exists — the defensive signal to abort."""
         snap_rows, _, snap_ids = self._snapshot[table]
         w_rows, w_ids = working.final_state()
         content = dict(zip(w_ids, w_rows))
@@ -590,11 +609,14 @@ class Transaction:
             else:
                 new_rows.append(row)
             new_ids.append(rid)
-        for rid, row in zip(w_ids, w_rows):
-            if rid not in snap_id_set:
-                new_rows.append(row)
-                new_ids.append(rid)
-        return new_rows, new_ids
+        inserted = [row for rid, row in zip(w_ids, w_rows) if rid not in snap_id_set]
+        # The inserted rows get fresh identities: the ids they were
+        # staged under may be older than ids others committed meanwhile,
+        # and every committed id list stays ascending (the delta log's
+        # consumers locate rows by bisection). Nobody outside this
+        # transaction has seen the staged ids.
+        inserted_ids = new_row_ids(len(inserted))
+        return new_rows + inserted, new_ids + inserted_ids, inserted_ids
 
     def commit(self) -> None:
         """Install every working copy as the new committed state.
@@ -614,7 +636,7 @@ class Transaction:
             manager.retire(self)
             return
         with manager.lock:
-            merges: dict["HeapTable", tuple[list["Row"], list[int]]] = {}
+            merges: dict["HeapTable", tuple[list["Row"], list[int], list[int]]] = {}
             for table, working in self._working.items():
                 if table._state[1] == self._snapshot[table][1]:
                     continue  # nothing intervened: plain install below
@@ -653,7 +675,7 @@ class Transaction:
                     # Merged content includes other transactions' rows:
                     # it is a state no stamp has ever named, so it gets
                     # a fresh one.
-                    rows, ids = merged
+                    rows, ids, _ = merged
                     version = next_stamp()
                 else:
                     # The working stamp already names exactly this
@@ -723,8 +745,16 @@ class Transaction:
                     rows, ids = working.final_state(in_place=in_place)
                 else:
                     rows, ids = change.rows, change.ids
-                table._state = (rows, change.version, ids)
                 written = None if working.coarse else frozenset(working.written)
+                if written is not None:
+                    merged = merges.get(table)
+                    table._log_delta(
+                        change.previous[1],
+                        change.version,
+                        written,
+                        working.inserted if merged is None else merged[2],
+                    )
+                table._state = (rows, change.version, ids)
                 table._history.append(HistoryEntry(seq, written, change.previous))
             if finalize_matviews is not None:
                 finalize_matviews()

@@ -29,7 +29,8 @@ single reference swap — an error mid-scan leaves the table untouched.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from bisect import bisect_left
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from ..catalog.schema import Schema
 from ..datatypes import Value, cast_value, format_value, type_of_value, SQLType
@@ -37,6 +38,11 @@ from ..errors import CatalogError
 from . import mvcc
 
 Row = tuple[Value, ...]
+
+#: Most row ids a table's delta log holds before it drops its oldest
+#: entries (see :meth:`HeapTable.changes_since`). A bound on rows, not
+#: on time: a consumer that falls further behind just reloads.
+DELTA_LOG_ROWS = 4096
 
 
 class HeapTable:
@@ -68,6 +74,16 @@ class HeapTable:
         # the executor rebuilds on any mismatch (see
         # repro.executor.vectorized.VScan).
         self.columnar_cache: tuple[int, list] | None = None
+        # Delta log: one ``(base stamp, new stamp, written ids, appended
+        # ids)`` entry per committed row-level transition, oldest first.
+        # It holds ids only — row content is looked up in the state a
+        # reader asks about — so it never pins a superseded version.
+        # Writers append in place and *replace* the list to trim, so a
+        # reader that grabbed the list once iterates a stable object.
+        self._delta_log: list[
+            tuple[int, int, Collection[int], Sequence[int]]
+        ] = []
+        self._delta_logged = 0
 
     # -- visibility ----------------------------------------------------
     @property
@@ -89,6 +105,12 @@ class HeapTable:
             return txn.visible_version(self)
         return self._state[1]
 
+    @property
+    def row_ids(self) -> list[int]:
+        """Hidden row identities of :attr:`rows`, in the same order
+        (read-only, like :attr:`rows`)."""
+        return self._visible_pair()[1]
+
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -104,10 +126,18 @@ class HeapTable:
         state = self._state
         return state[0], state[2]
 
-    def _install_direct(self, rows: list[Row], ids: list[int]) -> None:
+    def _install_direct(
+        self,
+        rows: list[Row],
+        ids: list[int],
+        written: Optional[Collection[int]] = None,
+        appended: Sequence[int] = (),
+    ) -> None:
         """Install a new committed state outside any transaction. Such
         writes carry no row-level write set, so they conflict coarsely:
-        any open transaction that also wrote this table will abort."""
+        any open transaction that also wrote this table will abort.
+        *written*/*appended* describe the change for the delta log
+        (``written=None``: a wholesale replacement, not logged)."""
         version = mvcc.next_stamp()
         if self.on_direct_install is not None:
             # Write-ahead: the record must be durable before the state
@@ -115,6 +145,8 @@ class HeapTable:
             self.on_direct_install(
                 self, mvcc.next_commit_seq(), version, rows, ids
             )
+        if written is not None:
+            self._log_delta(self._state[1], version, written, appended)
         self._state = (rows, version, ids)
         # Allocated *after* the install so a transaction beginning in
         # between (whose snapshot misses this write) is ordered before
@@ -127,8 +159,9 @@ class HeapTable:
             txn.append_rows(self, rows)
         else:
             committed, _, committed_ids = self._state
+            new_ids = mvcc.new_row_ids(len(rows))
             self._install_direct(
-                committed + rows, committed_ids + mvcc.new_row_ids(len(rows))
+                committed + rows, committed_ids + new_ids, (), new_ids
             )
 
     def _apply(
@@ -145,7 +178,101 @@ class HeapTable:
         if txn is not None:
             txn.replace_rows(self, rows, ids, written, coarse)
         else:
-            self._install_direct(rows, ids)
+            self._install_direct(rows, ids, None if coarse else list(written))
+
+    # -- delta log ------------------------------------------------------
+    def _log_delta(
+        self,
+        base: int,
+        version: int,
+        written: Collection[int],
+        appended: Sequence[int],
+    ) -> None:
+        """Record that state *base* became state *version* by updating or
+        deleting the rows *written* and appending the rows *appended*
+        (ids, ascending). Called just before the new state installs, by
+        whoever swaps ``_state``; a transition nobody logs (coarse write,
+        recovery, matview maintenance) simply breaks the chain, which
+        :meth:`changes_since` reports as ``None``."""
+        size = len(written) + len(appended)
+        if size > DELTA_LOG_ROWS:
+            self._delta_log, self._delta_logged = [], 0
+            return
+        log = self._delta_log
+        log.append((base, version, written, appended))
+        logged = self._delta_logged + size
+        if logged > DELTA_LOG_ROWS:
+            cut = 0
+            while logged > DELTA_LOG_ROWS:
+                logged -= len(log[cut][2]) + len(log[cut][3])
+                cut += 1
+            self._delta_log = log[cut:]
+        self._delta_logged = logged
+
+    def changes_since(
+        self, stamp: int
+    ) -> Optional[
+        tuple[list[int], list[tuple[int, Row]], list[tuple[int, Row]]]
+    ]:
+        """The net row-level change from the state named *stamp* to the
+        visible state: ``(deleted ids, upserted (id, row) pairs,
+        appended (id, row) pairs)`` — or ``None`` when the log cannot
+        say (the visible state is a transaction's own uncommitted work,
+        the chain between the two stamps was broken by an unlogged
+        transition, or its start has been trimmed). ``None`` means
+        "re-read the table", never an error.
+
+        Precondition: the row ids of state *stamp* were ascending (every
+        logged transition keeps them so, which is what lets changed rows
+        be located by bisection instead of a scan). Work is proportional
+        to the change, not to the table."""
+        txn = mvcc.current_transaction()
+        state = self._state if txn is None else txn.committed_view(self)
+        if state is None:
+            return None
+        rows, want, ids = state
+        written: set[int] = set()
+        parts: list[Sequence[int]] = []
+        if want != stamp:
+            # Walk the chain backwards from the transition that produced
+            # the visible state to the one that started at *stamp*.
+            for base, version, entry_written, entry_appended in reversed(
+                self._delta_log
+            ):
+                if version != want:
+                    if parts:
+                        return None  # gap: an unlogged transition
+                    continue  # newer than the visible state
+                written.update(entry_written)
+                parts.append(entry_appended)
+                if base == stamp:
+                    break
+                want = base
+            else:
+                return None
+
+        def lookup(rid: int) -> Optional[Row]:
+            pos = bisect_left(ids, rid)
+            if pos < len(ids) and ids[pos] == rid:
+                return rows[pos]
+            return None
+
+        appended_ids = [rid for part in reversed(parts) for rid in part]
+        written.difference_update(appended_ids)
+        deleted: list[int] = []
+        upserted: list[tuple[int, Row]] = []
+        for rid in sorted(written):
+            row = lookup(rid)
+            if row is None:
+                deleted.append(rid)
+            else:
+                upserted.append((rid, row))
+        appended = [
+            (rid, row)
+            for rid, row in ((rid, lookup(rid)) for rid in appended_ids)
+            if row is not None  # appended and deleted again in between
+        ]
+        return deleted, upserted, appended
 
     def _coerce_row(self, values: Sequence[Value]) -> Row:
         if len(values) != len(self.schema):
@@ -253,6 +380,12 @@ class Relation:
         self.schema = schema
         self.rows: list[Row] = list(rows)
         self.provenance_attrs: tuple[str, ...] = tuple(provenance_attrs)
+
+    @property
+    def row_ids(self) -> list[int]:
+        """Hidden row identities of :attr:`rows`, in the same order
+        (read-only, like :attr:`rows`)."""
+        return self._visible_pair()[1]
 
     def __len__(self) -> int:
         return len(self.rows)
