@@ -9,15 +9,7 @@ Two experiments:
    queue, not reject), and reports p50/p99 latency from its own
    reservoir plus wall-clock throughput.
 
-2. **Conflict granularity** — the same disjoint-row write workload runs
-   against a row-granularity and a table-granularity server. Every
-   session updates only its own row, with barriers forcing all
-   transactions to overlap: under table-level conflicts all but the
-   first committer of each round abort; under row-level conflicts the
-   writes are disjoint and *nobody* aborts. The benchmark asserts the
-   row-level abort count is strictly smaller.
-
-3. **Two callers at once** — the e2e benchmark's ``served_mixed`` op
+2. **Two callers at once** — the e2e benchmark's ``served_mixed`` op
    mix (50 % point joins, 30 % branch scans, 10 % inserts, 10 %
    transfers over ``engine="sqlite"`` sessions of one fsynced
    database), sent by two client threads *simultaneously* instead of by
@@ -55,8 +47,6 @@ from repro.server import PermServer, ServerClient, ServerThread
 
 SESSIONS = int(os.environ.get("BENCH_SERVER_SESSIONS", "120"))
 OPS_PER_SESSION = int(os.environ.get("BENCH_SERVER_OPS", "20"))
-GRANULARITY_SESSIONS = int(os.environ.get("BENCH_SERVER_GRAN_SESSIONS", "8"))
-GRANULARITY_ROUNDS = int(os.environ.get("BENCH_SERVER_ROUNDS", "12"))
 
 ACCOUNTS = 64
 WRITE_FRACTION = 0.3
@@ -81,9 +71,9 @@ def _merge_artifact(update: dict) -> None:
     print(f"\nwrote {path}")
 
 
-def _start_server(granularity: str, sessions: int) -> PermServer:
+def _start_server(sessions: int) -> PermServer:
     return PermServer(
-        database=Database(conflict_granularity=granularity),
+        database=Database(),
         max_sessions=sessions + 8,
         max_workers=8,
         max_pending=sessions * 2 + 32,
@@ -107,7 +97,7 @@ def _retrying(call, attempts: int = 50):
 def test_sustained_concurrent_sessions():
     """>= 100 concurrent sessions of mixed readers/writers, served
     completely; p50/p99 from the server's own latency reservoir."""
-    server = _start_server("row", SESSIONS)
+    server = _start_server(SESSIONS)
     failures: list[BaseException] = []
     with ServerThread(server):
         with ServerClient("127.0.0.1", server.port) as setup:
@@ -196,82 +186,7 @@ def test_sustained_concurrent_sessions():
 
 
 # ---------------------------------------------------------------------------
-# Experiment 2: row-level vs table-level conflict granularity
-# ---------------------------------------------------------------------------
-
-
-def _disjoint_row_aborts(granularity: str) -> int:
-    """Sessions update disjoint rows in barrier-aligned transactions;
-    returns how many commits aborted with a serialization failure."""
-    sessions = GRANULARITY_SESSIONS
-    server = _start_server(granularity, sessions)
-    aborts = [0] * sessions
-    failures: list[BaseException] = []
-    barrier = threading.Barrier(sessions, timeout=120)
-    with ServerThread(server):
-        with ServerClient("127.0.0.1", server.port) as setup:
-            setup.query("CREATE TABLE counters (id int, n int)")
-            for i in range(sessions):
-                setup.query("INSERT INTO counters VALUES (?, 0)", [i])
-
-        def worker(me: int) -> None:
-            try:
-                with ServerClient("127.0.0.1", server.port) as c:
-                    for _ in range(GRANULARITY_ROUNDS):
-                        barrier.wait()  # everyone begins together...
-                        c.begin()
-                        c.query(
-                            "UPDATE counters SET n = n + 1 WHERE id = ?", [me]
-                        )
-                        barrier.wait()  # ...and overlaps through commit
-                        try:
-                            c.commit()
-                        except SerializationError:
-                            aborts[me] += 1
-            except BaseException as exc:  # noqa: BLE001 - reported below
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(target=worker, args=(me,)) for me in range(sessions)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=600)
-    assert not failures, failures[:3]
-    return sum(aborts)
-
-
-def test_row_granularity_aborts_fewer_disjoint_writers():
-    """The PR's headline concurrency claim: on a disjoint-row write
-    workload, row-level conflict detection aborts strictly fewer
-    transactions than table-level first-committer-wins."""
-    row_aborts = _disjoint_row_aborts("row")
-    table_aborts = _disjoint_row_aborts("table")
-
-    # Fully-overlapped rounds: table granularity must abort someone...
-    assert table_aborts > 0
-    # ...while disjoint rows never truly conflict.
-    assert row_aborts < table_aborts
-    assert row_aborts == 0
-
-    results = {
-        "sessions": GRANULARITY_SESSIONS,
-        "rounds": GRANULARITY_ROUNDS,
-        "commits_attempted": GRANULARITY_SESSIONS * GRANULARITY_ROUNDS,
-        "row_aborts": row_aborts,
-        "table_aborts": table_aborts,
-    }
-    print_table(
-        "disjoint-row writers: aborts by conflict granularity",
-        ["metric", "value"],
-        sorted(results.items()),
-    )
-    _merge_artifact({"granularity": results})
-
-
-# ---------------------------------------------------------------------------
-# Experiment 3: the served_mixed op mix from two callers at once
+# Experiment 2: the served_mixed op mix from two callers at once
 # ---------------------------------------------------------------------------
 
 MIX_ACCOUNTS = 2000

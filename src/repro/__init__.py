@@ -58,7 +58,6 @@ and example workloads (:mod:`repro.workloads`).
 """
 
 from .core.context import RewriteOptions
-from .core.eager import materialize_provenance, stored_provenance_attrs
 from .core.external import attach_external_provenance, detach_external_provenance
 from .engine import (
     Connection,
@@ -125,8 +124,6 @@ __all__ = [
     "PlanCache",
     "Relation",
     "RewriteOptions",
-    "materialize_provenance",
-    "stored_provenance_attrs",
     "attach_external_provenance",
     "detach_external_provenance",
     "apilevel",

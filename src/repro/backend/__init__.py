@@ -39,12 +39,10 @@ from .registry import (  # noqa: F401
 register_builtins()
 
 # Heavier names, resolved lazily (PEP 562) to keep `import repro` from
-# touching sqlite3 and to preserve the historic import surface.
+# touching sqlite3.
 _LAZY = {
-    "SQLiteCompiler": "compile",
     "PushdownCompiler": "compile",
     "Unsupported": "compile",
-    "compile_sqlite_plan": "compile",
     "compile_pushdown_plan": "compile",
     "SQLiteBackend": "sqlite",
     "SQLiteQueryOp": "sqlite",

@@ -902,10 +902,6 @@ class PushdownCompiler:
                     raise Unsupported(f"outer reference {name!r} shadowed on pushdown")
 
 
-#: Historic name — the compiler predates the backend registry.
-SQLiteCompiler = PushdownCompiler
-
-
 def _statically_comparable(a: SQLType, b: SQLType) -> bool:
     numeric = (SQLType.INT, SQLType.FLOAT)
     if a is SQLType.NULL or b is SQLType.NULL:
@@ -962,7 +958,3 @@ def compile_pushdown_plan(planner: "Planner", backend: MirrorAdapter, node: an.N
     planner); returns the backend's query operator or, when nothing at
     all can be pushed down, the equivalent row-engine plan."""
     return PushdownCompiler(planner, backend).compile_root(node)
-
-
-#: Historic name for :func:`compile_pushdown_plan`.
-compile_sqlite_plan = compile_pushdown_plan

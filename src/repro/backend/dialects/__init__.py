@@ -12,7 +12,6 @@ means providing those two objects and registering them
 
 from .base import (  # noqa: F401
     Dialect,
-    SqlDialect,
     expr_to_sql,
     quote_identifier,
     quote_identifier_always,

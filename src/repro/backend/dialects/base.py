@@ -133,10 +133,6 @@ class Dialect:
         raise NotImplementedError
 
 
-#: Historic name — the interface predates the backend registry.
-SqlDialect = Dialect
-
-
 def expr_to_sql(expr: Expr, dialect: Optional[Dialect] = None) -> str:
     """Render a resolved expression as SQL text in *dialect* (the
     browser dialect when none is given)."""

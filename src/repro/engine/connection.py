@@ -791,9 +791,8 @@ class Connection:
     def _invalidate_all_matviews(self) -> None:
         """Mark every materialized view stale (after a view definition
         changed underneath it)."""
-        maintainer = self.database.matview_maintainer
         for entry in self.catalog.matviews:
-            maintainer._mark_stale(entry.name)
+            self.database.matview_maintainer.mark_stale(entry.name)
 
     def _execute_create_matview(self, statement: ast.CreateMaterializedView) -> Relation:
         if ast.statement_parameters(statement):
@@ -814,9 +813,7 @@ class Connection:
                 # Bake the provenance request into the stored definition,
                 # so refresh and unfolding see the same query.
                 query = replace(query, provenance=ast.ProvenanceClause())
-        rows, sids, base_versions, base_tables, program, expanded = (
-            self._compute_matview(query)
-        )
+        contents, expanded = self._compute_matview(query)
         schema = Schema(
             Attribute(a.name, a.type) for a in expanded.node.schema
         )
@@ -828,18 +825,8 @@ class Connection:
             with_provenance=statement.with_provenance,
             provenance_attrs=expanded.provenance_names,
         )
-        entry.base_tables = base_tables
-        entry.delta_safe = program is not None
-        entry.program = program
-        entry.source_ids = sids
-        entry.table._install_direct(rows, mvcc.new_row_ids(len(rows)))
-        # Set last: until the stored rows are installed, readers see the
-        # empty versions map, fail the freshness check and unfold. The
-        # fresh-mark also reaches the WAL observer, which records the
-        # base versions so recovery restores a trusted view.
-        entry.base_versions = base_versions
-        self.catalog.set_matview_fresh(name)
-        return _status(f"CREATE MATERIALIZED VIEW ({len(rows)} rows)")
+        count = self._install_matview(entry, *contents)
+        return _status(f"CREATE MATERIALIZED VIEW ({count} rows)")
 
     def _execute_refresh_matview(
         self, statement: ast.RefreshMaterializedView
@@ -852,8 +839,9 @@ class Connection:
         matviews unfolded, so only base tables remain) and evaluate its
         current contents: through the delta interpreter when the rewritten
         shape is delta-safe, else through this connection's engine.
-        Returns ``(rows, source_ids, base_versions, base_tables, program,
-        expanded)``."""
+        Returns ``((rows, source_ids, base_versions, base_tables,
+        program), expanded)`` — the contents :meth:`_install_matview`
+        stores, and the expanded definition."""
         analyzer = self._analyzer()
         analyzer.inline_matviews = True
         node = analyzer.analyze_query(query)
@@ -877,23 +865,35 @@ class Connection:
             return rows, sids, base_versions, base_tables, program
 
         if mvcc.current_transaction() is not None:
-            rows, sids, base_versions, base_tables, program = compute()
-        else:
-            rows, sids, base_versions, base_tables, program = self._run_autocommit(
-                compute
-            )
-        return rows, sids, base_versions, base_tables, program, expanded
+            return compute(), expanded
+        return self._run_autocommit(compute), expanded
+
+    def _install_matview(
+        self, entry, rows, sids, base_versions, base_tables, program
+    ) -> int:
+        """Store freshly computed contents (CREATE and REFRESH): the
+        maintenance state, the rows, then the freshness mark; returns
+        the row count."""
+        entry.base_tables = base_tables
+        entry.delta_safe = program is not None
+        entry.program = program
+        entry.source_ids = sids
+        entry.table._install_direct(rows, mvcc.new_row_ids(len(rows)))
+        # Set last: until the stored rows are installed, readers see the
+        # old (or empty) versions map, fail the freshness check and
+        # unfold. The fresh-mark also reaches the WAL observer, which
+        # records the base versions so recovery restores a trusted view.
+        entry.base_versions = base_versions
+        self.catalog.set_matview_fresh(entry.name)
+        return len(rows)
 
     def _refresh_matview(self, name: str) -> int:
         """Recompute a materialized view's stored rows from the current
         base-table state; returns the new row count. The view is marked
         stale *first*, so commit-time maintenance (which skips stale
         views) cannot interleave its own heap write with the install."""
-        catalog = self.catalog
-        entry = catalog.matview(name)
-        rows, sids, base_versions, base_tables, program, expanded = (
-            self._compute_matview(entry.query)
-        )
+        entry = self.catalog.matview(name)
+        contents, expanded = self._compute_matview(entry.query)
         new_names = [a.name for a in expanded.node.schema]
         old_names = [a.name for a in entry.schema]
         if new_names != old_names:
@@ -902,16 +902,10 @@ class Connection:
                 f"definition now produces columns ({', '.join(new_names)}) "
                 f"instead of ({', '.join(old_names)}); drop and re-create it"
             )
-        self.database.matview_maintainer._mark_stale(entry.name)
-        entry.base_tables = base_tables
-        entry.delta_safe = program is not None
-        entry.program = program
-        entry.source_ids = sids
-        entry.table._install_direct(rows, mvcc.new_row_ids(len(rows)))
-        entry.base_versions = base_versions
-        catalog.set_matview_fresh(entry.name)
+        self.database.matview_maintainer.mark_stale(entry.name)
+        count = self._install_matview(entry, *contents)
         self.pipeline.counters.matview_refreshes += 1
-        return len(rows)
+        return count
 
     def _auto_refresh_matviews(self, statement: ast.QueryStatement) -> None:
         """Best-effort refresh of every stale materialized view a read
@@ -940,7 +934,7 @@ class Connection:
                 try:
                     self._refresh_matview(name)
                 except PermError:
-                    self.database.matview_maintainer._mark_stale(name)
+                    self.database.matview_maintainer.mark_stale(name)
                 else:
                     progressed = True
                     self.pipeline.counters.matview_auto_refreshes += 1

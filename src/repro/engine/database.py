@@ -51,22 +51,16 @@ class Database:
 
     def __init__(
         self,
-        conflict_granularity: str = "row",
         path: Optional[str] = None,
         durability: str = "fsync",
         checkpoint_bytes: Optional[int] = None,
     ) -> None:
         self.catalog = Catalog()
-        # "row" (default): first-committer-wins per row identity, so
-        # transactions updating disjoint rows of one table both commit.
-        # "table": any two commits of one table conflict (the pre-row-
-        # level behavior, kept for benchmark comparisons).
         # Snapshots must cover materialized-view heaps too, so a reader
         # sees base tables and view contents from one consistent cut.
         self.manager = TransactionManager(
             lambda: [entry.table for entry in self.catalog.tables]
-            + [entry.table for entry in self.catalog.matviews],
-            granularity=conflict_granularity,
+            + [entry.table for entry in self.catalog.matviews]
         )
         self.matview_maintainer = MatviewMaintainer(self.catalog)
         self.manager.matview_maintainer = self.matview_maintainer.on_commit

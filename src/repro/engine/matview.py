@@ -14,9 +14,12 @@ this module adds is the *maintenance* machinery:
   falls back to stale-and-recompute maintenance.
 
 * :class:`MatviewMaintainer` hooks transaction commit. For every
-  delta-safe view whose base tables a commit touches, it propagates the
-  committed write set through the program — removed combinations are
-  found by source-row-id intersection, added combinations by the
+  delta-safe view whose base tables a commit touches, it reads each
+  base table's change from the commit's own record
+  (:meth:`CommitChange.resolve() <repro.storage.mvcc.CommitChange.resolve>`
+  — the write set the transaction holds, never a comparison of table
+  states) and propagates it through the program — removed combinations
+  are found by source-row-id intersection, added combinations by the
   telescoping delta expansion — and emits one extra
   :class:`~repro.storage.mvcc.CommitChange` that updates the view's
   heap *in the same commit* (so the WAL and crash recovery see an
@@ -493,20 +496,6 @@ class _TableDelta:
         return self._sub
 
 
-def _rows_differ(a: "Row", b: "Row") -> bool:
-    """Content comparison that keeps ``1``, ``1.0`` and ``TRUE``
-    distinct (plain tuple equality would conflate them and a matview
-    could silently keep the old spelling of a value)."""
-    if a is b:
-        return False
-    if len(a) != len(b):
-        return True
-    for x, y in zip(a, b):
-        if value_identity(x) != value_identity(y):
-            return True
-    return False
-
-
 class MatviewMaintainer:
     """Propagates committed base-table write sets into materialized
     views. Installed on the :class:`~repro.storage.mvcc.TransactionManager`
@@ -541,53 +530,29 @@ class MatviewMaintainer:
         return state
 
     def _delta(self, name: str, change: mvcc.CommitChange, seq: int) -> _TableDelta:
-        prev_rows, prev_version, prev_ids = change.previous
-        known = self._ext.get(name)
-        if change.appended is not None:
-            base = len(prev_rows)
-            added = [
-                (row, rid, base + i)
-                for i, (row, rid) in enumerate(
-                    zip(change.appended, change.appended_ids)
-                )
-            ]
-            if (
-                known is not None
-                and known[0] is change.table
-                and known[1] == prev_version
-            ):
-                # In-place extension: the superseded wrapped list is
-                # never consulted again (its version stamp is gone).
-                wrapped, pos_by_id = known[2], known[3]
-            else:
-                wrapped = [
-                    (row, (rid,), (pos,))
-                    for pos, (row, rid) in enumerate(zip(prev_rows, prev_ids))
-                ]
-                pos_by_id = {rid: pos for pos, rid in enumerate(prev_ids)}
-            for row, rid, pos in added:
+        deleted, updated, inserted = change.resolve()
+        if change.rows is None:
+            # Append-only: extend the previous state's cached triples in
+            # place (nothing has installed yet, so ``_ext_state`` is the
+            # previous state). They stop describing that state, so they
+            # leave the cache; ``finalize`` files them under the new
+            # stamp once the commit has installed.
+            _, _, wrapped, pos_by_id = self._ext_state(name, change.table)
+            del self._ext[name]
+            for pos, (rid, row) in enumerate(inserted, len(wrapped)):
                 wrapped.append((row, (rid,), (pos,)))
                 pos_by_id[rid] = pos
-            return _TableDelta(name, seq, added, set(), wrapped, pos_by_id, change.version)
-        new_rows, new_ids = change.rows, change.ids
-        prev_map = dict(zip(prev_ids, prev_rows))
-        added = []
-        removed: set[int] = set()
-        wrapped = []
-        pos_by_id = {}
-        for pos, (row, rid) in enumerate(zip(new_rows, new_ids)):
-            wrapped.append((row, (rid,), (pos,)))
-            pos_by_id[rid] = pos
-            old = prev_map.get(rid)
-            if old is None and rid not in prev_map:
-                added.append((row, rid, pos))
-            elif _rows_differ(old, row):
-                added.append((row, rid, pos))
-                removed.add(rid)
-        new_id_set = set(new_ids)
-        for rid in prev_ids:
-            if rid not in new_id_set:
-                removed.add(rid)
+        else:
+            wrapped = [
+                (row, (rid,), (pos,))
+                for pos, (row, rid) in enumerate(zip(change.rows, change.ids))
+            ]
+            pos_by_id = {rid: pos for pos, rid in enumerate(change.ids)}
+        # An update is the removal of the old content plus the addition
+        # of the new one (under the same row id).
+        added = [(row, rid, pos_by_id[rid]) for rid, row in updated + inserted]
+        removed = set(deleted)
+        removed.update(rid for rid, _ in updated)
         return _TableDelta(name, seq, added, removed, wrapped, pos_by_id, change.version)
 
     # -- the commit hook ------------------------------------------------
@@ -616,8 +581,7 @@ class MatviewMaintainer:
             except Exception:
                 ok = False
             if not ok:
-                name = entry.name
-                finalizers.append(lambda n=name: self._mark_stale(n))
+                finalizers.append(lambda n=entry.name: self._degrade(n))
         if not extra and not finalizers:
             return [], None
 
@@ -638,12 +602,19 @@ class MatviewMaintainer:
 
         return extra, finalize
 
-    def _mark_stale(self, name: str) -> None:
+    def mark_stale(self, name: str) -> None:
+        """Flag a view stale so commit-time maintenance skips it until
+        its next refresh (refresh fencing, a changed view definition, a
+        failed refresh). Not a degradation: ``stale_marks`` counts only
+        the commits maintenance could not follow."""
         try:
             self.catalog.mark_matview_stale(name)
-            self.stale_marks += 1
         except Exception:  # pragma: no cover - dropped concurrently
             pass
+
+    def _degrade(self, name: str) -> None:
+        self.mark_stale(name)
+        self.stale_marks += 1
 
     def _maintain(
         self,
@@ -661,7 +632,7 @@ class MatviewMaintainer:
         catalog = self.catalog
         for name in relevant:
             change = by_name[name]
-            if change.coarse:
+            if change.written is None:
                 return False
             if entry.base_versions.get(name) != change.previous[1]:
                 # Something bypassed maintenance (e.g. a direct install):
@@ -774,8 +745,6 @@ class MatviewMaintainer:
                 final_rows,
                 final_ids,
                 None,
-                None,
-                False,
                 wal_delta=wal_delta,
             )
         )

@@ -16,7 +16,7 @@ transform into plan"; logical optimization happens before it in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
@@ -27,9 +27,6 @@ from ..executor.expr_eval import Env, ExprCompiler, ParamContext, Row
 from ..executor import iterators as it
 from ..executor import vectorized as vec
 from ..executor.vector_expr import VectorExprCompiler
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..backend.sqlite import SQLiteBackend
 
 
 class Planner:
@@ -61,7 +58,6 @@ class Planner:
         params: Optional[ParamContext] = None,
         engine: str = "row",
         batch_size: int = vec.DEFAULT_BATCH_SIZE,
-        sqlite_backend: "Optional[SQLiteBackend]" = None,
     ):
         from ..backend.registry import get_spec
 
@@ -76,7 +72,7 @@ class Planner:
         # Rows per vectorized batch. The default amortizes interpreter
         # overhead; tests shrink it to force multi-batch operator paths.
         self.batch_size = batch_size
-        self._backend = sqlite_backend
+        self._backend = None
         # Per-plan_root estimate memo (see plan_root); None outside a
         # planning pass.
         self._estimator = None
@@ -85,24 +81,15 @@ class Planner:
     def backend(self):
         """The connection-scoped mirror backend (created on first use so
         row/vectorized planners never open a mirror connection). Built
-        by the engine's registered factory; planners of engines without
-        one fall back to a plain SQLite mirror, the historic behavior of
-        :attr:`sqlite_backend`."""
+        by the engine's registered factory; only pushdown engines have
+        one."""
         if self._backend is None:
-            if self._spec.create_backend is not None:
-                self._backend = self._spec.create_backend(
-                    self.catalog, self._engine_options
-                )
-            else:
-                from ..backend.sqlite import SQLiteBackend
-
-                self._backend = SQLiteBackend(self.catalog)
+            if self._spec.create_backend is None:
+                raise PlanError(f"engine {self.engine!r} has no mirror backend")
+            self._backend = self._spec.create_backend(
+                self.catalog, self._engine_options
+            )
         return self._backend
-
-    @property
-    def sqlite_backend(self):
-        """Historic name for :attr:`backend`."""
-        return self.backend
 
     @property
     def cache_token(self):
@@ -137,14 +124,6 @@ class Planner:
             return self._spec.plan_root(self, node)
         finally:
             self._estimator = None
-
-    def plan_sqlite(self, node: an.Node) -> it.PhysicalOp:
-        """Historic entry point: compile *node* into a single-statement
-        pushdown plan against this planner's mirror backend, or the
-        equivalent row plan when nothing can be pushed down."""
-        from ..backend.compile import compile_pushdown_plan
-
-        return compile_pushdown_plan(self, self.backend, node)
 
     # ------------------------------------------------------------------
     def plan(self, node: an.Node, outer_schemas: Sequence[Schema] = ()) -> it.PhysicalOp:

@@ -36,12 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default execution engine for sessions that do not choose one "
         f"({', '.join(engine_names())})",
     )
-    parser.add_argument(
-        "--granularity",
-        default="row",
-        choices=("row", "table"),
-        help="write-write conflict granularity (default: row)",
-    )
     parser.add_argument("--max-sessions", type=int, default=256)
     parser.add_argument("--max-workers", type=int, default=8)
     parser.add_argument("--max-pending", type=int, default=128)
@@ -80,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     database = Database(
-        conflict_granularity=args.granularity,
         path=args.data_dir,
         durability=args.durability,
         checkpoint_bytes=args.checkpoint_bytes,

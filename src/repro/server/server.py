@@ -98,7 +98,6 @@ class PermServer:
         snap = self.stats.snapshot()
         snap["max_sessions"] = self.max_sessions
         snap["max_pending"] = self.max_pending
-        snap["granularity"] = self.database.manager.granularity
         return snap
 
     # ------------------------------------------------------------------

@@ -35,8 +35,14 @@ property with the copy-on-write flavor of MVCC:
   write. Disjoint-row commits *merge*: the transaction's per-row
   effects are replayed onto the current committed state, so two
   transactions updating different rows of one table both succeed.
-  ``TransactionManager(granularity="table")`` restores the old
-  whole-table first-committer-wins rule (used for comparisons).
+
+* **One change record per commit**: the hooks that follow a commit (the
+  write-ahead log, the materialized-view maintainer, the table's delta
+  log behind the SQLite mirror) all receive the write set the
+  transaction already holds — :class:`CommitChange` carries the ids it
+  updated-or-deleted and the ids it appended — and turn it into rows
+  with :func:`resolve_write_set`, whose cost follows the change, not
+  the table. Nothing downstream compares two table states.
 
 * **Version GC**: each committed write appends a history entry (its
   commit sequence number, its row-level write set, and the superseded
@@ -72,7 +78,8 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
 
 from ..errors import OperationalError, SerializationError
 
@@ -263,7 +270,7 @@ class _Working:
         self.written: set[int] = set()
         # Ids of every row this transaction appended, ascending (some
         # may since have been deleted again) — with ``written``, the
-        # row-level description of the commit for the table's delta log.
+        # write set the commit's :class:`CommitChange` carries.
         self.inserted: list[int] = []
         # A whole-table operation (truncate) that must keep
         # table-granularity conflicts.
@@ -324,9 +331,9 @@ class _Working:
 
     def pending_append(self) -> Optional[tuple[list["Row"], list[int]]]:
         """The (rows, ids) appended on top of the snapshot, if this
-        working copy is still a pure snapshot overlay — the cheap exact
-        delta for WAL records (``None`` once materialized, replaced, or
-        rebased onto a savepoint)."""
+        working copy is still a pure snapshot overlay — the ``tail`` of
+        an append-only :class:`CommitChange` (``None`` once
+        materialized, replaced, or rebased onto a savepoint)."""
         if self._rows is None and self._base_is_snapshot:
             assert not self.written and not self.coarse
             return self._extra, self._extra_ids
@@ -345,18 +352,75 @@ class _Working:
         )
 
 
+def resolve_write_set(
+    written: Collection[int],
+    inserted: Iterable[int],
+    rows: Sequence["Row"],
+    ids: Sequence[int],
+) -> tuple[list[int], list[tuple[int, "Row"]], list[tuple[int, "Row"]]]:
+    """Turn a row-level write set into rows: ``(deleted ids, updated
+    (id, row) pairs, inserted (id, row) pairs)``, ids ascending.
+
+    *written* are ids that were updated or deleted, *inserted* ids that
+    were appended (ascending); *rows*/*ids* are the state the change led
+    to — or any id-ordered slice of it holding every surviving row of
+    the write set. A written id absent from it was deleted; an inserted
+    id absent from it was deleted again before anyone saw it; an id in
+    both sets is just an insert. Row ids of committed states are
+    ascending (every mutator keeps row order, appends get fresh ids), so
+    each row is found by bisection: the work follows the change, not the
+    table. This is the only place a write set becomes rows — content is
+    never compared here (``HeapTable.update_where`` keeps unchanged rows
+    out of the write set in the first place)."""
+
+    def lookup(rid: int) -> Optional["Row"]:
+        pos = bisect_left(ids, rid)
+        if pos < len(ids) and ids[pos] == rid:
+            return rows[pos]
+        return None
+
+    run = list(inserted)
+    start = bisect_left(ids, run[0]) if run else 0
+    stop = start + len(run)
+    if ids[start:stop] == run:
+        # Every appended row survives, as one run of the state (a bulk
+        # load, most commits): no per-row search.
+        inserted_pairs = list(zip(run, rows[start:stop]))
+    else:
+        inserted_pairs = [
+            (rid, row)
+            for rid, row in ((rid, lookup(rid)) for rid in run)
+            if row is not None
+        ]
+    deleted: list[int] = []
+    updated: list[tuple[int, "Row"]] = []
+    if written:
+        for rid in sorted(set(written).difference(run)):
+            row = lookup(rid)
+            if row is None:
+                deleted.append(rid)
+            else:
+                updated.append((rid, row))
+    return deleted, updated, inserted_pairs
+
+
 class CommitChange:
-    """One table's share of a commit, handed to the manager's
-    ``on_commit`` hook *before* the new state installs (the write-ahead
-    ordering: log, make durable, only then install).
+    """One table's share of a commit — the single row-level change
+    record, handed to the manager's hooks *before* the new state
+    installs (the write-ahead ordering: log, make durable, only then
+    install).
 
-    Exactly one of two shapes:
-
-    * ``appended`` is not ``None`` — an append-only overlay commit; the
-      new state is ``previous`` plus the appended rows/ids.
-    * otherwise ``rows``/``ids`` are the complete new state (and
-      ``previous`` is what it supersedes; ``coarse`` marks whole-table
-      writes whose row-level delta is meaningless).
+    ``written`` and ``inserted`` are the write set exactly as the
+    transaction accumulated it: ids of rows of ``previous`` it updated
+    or deleted, and ids of the rows it appended (ascending; some may
+    have been deleted again). ``written is None`` marks a coarse write
+    (``TRUNCATE``, maintainer-built view contents) that only the full
+    state describes. ``rows``/``ids`` are the complete new state —
+    except for an append-only commit, where they are ``None`` and
+    ``tail`` holds just the appended ``(rows, ids)``: the new state,
+    ``previous`` plus the tail, is built at install so a solo commit can
+    extend the committed lists in place. :meth:`resolve` is how every
+    consumer reads the change.
     """
 
     __slots__ = (
@@ -365,9 +429,10 @@ class CommitChange:
         "version",
         "rows",
         "ids",
-        "appended",
-        "appended_ids",
-        "coarse",
+        "written",
+        "inserted",
+        "tail",
+        "_resolved",
     )
 
     def __init__(
@@ -377,18 +442,29 @@ class CommitChange:
         version: int,
         rows: Optional[list["Row"]],
         ids: Optional[list[int]],
-        appended: Optional[list["Row"]],
-        appended_ids: Optional[list[int]],
-        coarse: bool,
+        written: Optional[Collection[int]],
+        inserted: Sequence[int] = (),
+        tail: Optional[tuple[list["Row"], list[int]]] = None,
     ):
         self.table = table
         self.previous = previous
         self.version = version
         self.rows = rows
         self.ids = ids
-        self.appended = appended
-        self.appended_ids = appended_ids
-        self.coarse = coarse
+        self.written = written
+        self.inserted = inserted
+        self.tail = tail
+        self._resolved = None
+
+    def resolve(
+        self,
+    ) -> tuple[list[int], list[tuple[int, "Row"]], list[tuple[int, "Row"]]]:
+        """The change as rows (see :func:`resolve_write_set`), computed
+        once per commit however many hooks ask. Not for coarse changes."""
+        if self._resolved is None:
+            rows, ids = (self.rows, self.ids) if self.tail is None else self.tail
+            self._resolved = resolve_write_set(self.written, self.inserted, rows, ids)
+        return self._resolved
 
 
 class Transaction:
@@ -579,12 +655,13 @@ class Transaction:
 
     def _merged_state(
         self, table: "HeapTable", working: _Working
-    ) -> Optional[tuple[list["Row"], list[int], list[int]]]:
+    ) -> Optional[tuple[list["Row"], list[int], frozenset[int], list[int]]]:
         """Merge this transaction's per-row effects onto the table's
         *current* committed state (which contains other transactions'
-        disjoint writes): ``(rows, ids, ids of the rows it inserted)``.
-        Returns ``None`` if a row this transaction wrote no longer
-        exists — the defensive signal to abort."""
+        disjoint writes): ``(rows, ids, ids of the committed rows it
+        wrote, ids of the rows it inserted)``. Returns ``None`` if a row
+        this transaction wrote no longer exists — the defensive signal
+        to abort."""
         snap_rows, _, snap_ids = self._snapshot[table]
         w_rows, w_ids = working.final_state()
         content = dict(zip(w_ids, w_rows))
@@ -592,7 +669,7 @@ class Transaction:
         # Only rows that existed in the snapshot participate in the
         # merge; a row this transaction inserted *and* wrote again (its
         # id is fresh) rides along as a plain insert.
-        written = working.written & snap_id_set
+        written = frozenset(working.written & snap_id_set)
         deleted = {rid for rid in written if rid not in content}
         updated = written - deleted
         cur_rows, _, cur_ids = table._state
@@ -616,7 +693,7 @@ class Transaction:
         # consumers locate rows by bisection). Nobody outside this
         # transaction has seen the staged ids.
         inserted_ids = new_row_ids(len(inserted))
-        return new_rows + inserted, new_ids + inserted_ids, inserted_ids
+        return new_rows + inserted, new_ids + inserted_ids, written, inserted_ids
 
     def commit(self) -> None:
         """Install every working copy as the new committed state.
@@ -636,12 +713,10 @@ class Transaction:
             manager.retire(self)
             return
         with manager.lock:
-            merges: dict["HeapTable", tuple[list["Row"], list[int], list[int]]] = {}
+            merges: dict["HeapTable", tuple] = {}
             for table, working in self._working.items():
                 if table._state[1] == self._snapshot[table][1]:
                     continue  # nothing intervened: plain install below
-                if manager.granularity == "table":
-                    raise self._abort(table, "table-granularity conflict")
                 if working.coarse:
                     raise self._abort(table, "whole-table write")
                 others = self._concurrent_write_set(table)
@@ -663,19 +738,18 @@ class Transaction:
             # becomes permanently unmatchable, so every stamp-keyed
             # cache revalidates).
             solo = manager.is_solo(self)
-            # Stage every table's new state *before* installing any of
-            # it, so the write-ahead hook sees the complete commit while
-            # no table has changed yet (log -> make durable -> install).
-            pending: list[tuple["HeapTable", _Working, CommitChange]] = []
+            # Stage every table's change record *before* installing any
+            # of it, so the hooks see the complete commit while no table
+            # has changed yet (log -> make durable -> install).
+            pending: list[tuple[Optional[_Working], CommitChange]] = []
             for table, working in self._working.items():
-                previous = table._state
                 merged = merges.get(table)
-                appended = appended_ids = None
+                tail = None
                 if merged is not None:
                     # Merged content includes other transactions' rows:
                     # it is a state no stamp has ever named, so it gets
                     # a fresh one.
-                    rows, ids, _ = merged
+                    rows, ids, written, inserted = merged
                     version = next_stamp()
                 else:
                     # The working stamp already names exactly this
@@ -683,30 +757,19 @@ class Transaction:
                     # the transaction against its final state stay
                     # valid after the commit.
                     version = working.version
-                    overlay = working.pending_append()
-                    if overlay is not None:
+                    written = None if working.coarse else frozenset(working.written)
+                    inserted = working.inserted
+                    tail = working.pending_append()
+                    if tail is not None:
                         # Append-only: keep the overlay unmaterialized
                         # so the install below may extend in place.
-                        appended, appended_ids = overlay
                         rows = ids = None
                     else:
                         rows, ids = working.final_state()
-                pending.append(
-                    (
-                        table,
-                        working,
-                        CommitChange(
-                            table,
-                            previous,
-                            version,
-                            rows,
-                            ids,
-                            appended,
-                            appended_ids,
-                            working.coarse,
-                        ),
-                    )
+                change = CommitChange(
+                    table, table._state, version, rows, ids, written, inserted, tail
                 )
+                pending.append((working, change))
             finalize_matviews = None
             if manager.matview_maintainer is not None:
                 # Materialized-view maintenance: derive the views' share
@@ -715,13 +778,14 @@ class Transaction:
                 # one atomic unit. The returned finalizer (catalog
                 # bookkeeping) runs only after everything installs.
                 maintained, finalize_matviews = manager.matview_maintainer(
-                    seq, [change for _, _, change in pending]
+                    seq, [change for _, change in pending]
                 )
-                for change in maintained:
-                    pending.append((change.table, None, change))
+                # No user transaction ever writes a view's heap, so the
+                # maintainer's changes are coarse: conservative and safe.
+                pending.extend((None, change) for change in maintained)
             if manager.on_commit is not None:
                 try:
-                    manager.on_commit(seq, [change for _, _, change in pending])
+                    manager.on_commit(seq, [change for _, change in pending])
                 except BaseException:
                     # The commit record never became durable: abort with
                     # no state installed (the transaction is over either
@@ -731,31 +795,24 @@ class Transaction:
                     self._savepoints.clear()
                     manager.retire(self)
                     raise
-            for table, working, change in pending:
-                if working is None:
-                    # A maintainer-generated change: a complete new state
-                    # for a materialized view's heap. No user transaction
-                    # ever writes these heaps, so a coarse history entry
-                    # is conservative and safe.
-                    table._state = (change.rows, change.version, change.ids)
-                    table._history.append(HistoryEntry(seq, None, change.previous))
-                    continue
-                if change.rows is None:
-                    in_place = solo and not table._history
-                    rows, ids = working.final_state(in_place=in_place)
-                else:
-                    rows, ids = change.rows, change.ids
-                written = None if working.coarse else frozenset(working.written)
-                if written is not None:
-                    merged = merges.get(table)
+            for working, change in pending:
+                table = change.table
+                rows, ids = change.rows, change.ids
+                if rows is None:
+                    rows, ids = working.final_state(
+                        in_place=solo and not table._history
+                    )
+                if change.written is not None:
                     table._log_delta(
                         change.previous[1],
                         change.version,
-                        written,
-                        working.inserted if merged is None else merged[2],
+                        change.written,
+                        change.inserted,
                     )
                 table._state = (rows, change.version, ids)
-                table._history.append(HistoryEntry(seq, written, change.previous))
+                table._history.append(
+                    HistoryEntry(seq, change.written, change.previous)
+                )
             if finalize_matviews is not None:
                 finalize_matviews()
             manager.commit_count += 1
@@ -781,26 +838,13 @@ class TransactionManager:
     ``tables`` is a zero-argument callable returning the current heap
     tables (the catalog's, at begin time); keeping it a callable avoids
     an import cycle between the storage and catalog layers.
-    ``granularity`` selects the first-committer-wins unit: ``"row"``
-    (the default — disjoint-row commits merge) or ``"table"`` (any two
-    commits of one table conflict; kept for comparison benchmarks).
     ``begin_count``/``commit_count``/``conflict_count`` are plain
     telemetry counters (the conflict check itself uses version stamps
     and commit sequence numbers)."""
 
-    def __init__(
-        self,
-        tables: Callable[[], Iterable["HeapTable"]],
-        granularity: str = "row",
-    ):
-        if granularity not in ("row", "table"):
-            raise ValueError(
-                f"unknown conflict granularity {granularity!r} "
-                "(valid: 'row', 'table')"
-            )
+    def __init__(self, tables: Callable[[], Iterable["HeapTable"]]):
         self.lock = threading.RLock()
         self._tables = tables
-        self.granularity = granularity
         self.begin_count = 0
         self.commit_count = 0
         self.conflict_count = 0

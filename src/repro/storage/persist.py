@@ -15,8 +15,10 @@ the new manifest intact (heap files are generation-numbered, so a new
 checkpoint never overwrites a file the old manifest still references).
 Everything since the checkpoint lives in the write-ahead log
 (:mod:`repro.storage.wal`): row-level commit deltas stamped with their
-MVCC commit version, full states for coarse and non-transactional
-writes, and DDL records.
+MVCC commit version — each one the commit's own
+:class:`~repro.storage.mvcc.CommitChange` resolved to rows, never a
+comparison of table states — full states for coarse and
+non-transactional writes, and DDL records.
 
 Recovery = load the manifest, replay every complete WAL record whose
 sequence number exceeds the manifest's ``checkpoint_seq`` (making
@@ -402,13 +404,7 @@ class PersistentStore:
                 "base_versions": dict(wal_delta.get("base_versions", {})),
             }
             return delta
-        if change.appended is not None:
-            delta["insert"] = [
-                [rid, [to_jsonsafe_value(v) for v in row]]
-                for rid, row in zip(change.appended_ids, change.appended)
-            ]
-            return delta
-        if change.coarse:
+        if change.written is None:
             # Whole-table writes (TRUNCATE) have no meaningful row
             # delta: log the full replacement state.
             delta["state"] = {
@@ -416,27 +412,14 @@ class PersistentStore:
                 "ids": list(change.ids),
             }
             return delta
-        # Generic exact diff by row identity. Valid because every engine
-        # mutator preserves row order: the new state is the old state
-        # minus deletes, with updates in place and inserts appended.
-        prev_rows, _, prev_ids = change.previous
-        prev_by_id = dict(zip(prev_ids, prev_rows))
-        inserts, updates = [], []
-        new_id_set = set()
-        for rid, row in zip(change.ids, change.rows):
-            new_id_set.add(rid)
-            old = prev_by_id.get(rid)
-            if old is None:
-                inserts.append([rid, [to_jsonsafe_value(v) for v in row]])
-            elif old != row:
-                updates.append([rid, [to_jsonsafe_value(v) for v in row]])
-        deletes = [rid for rid in prev_ids if rid not in new_id_set]
-        if inserts:
-            delta["insert"] = inserts
-        if updates:
-            delta["update"] = updates
-        if deletes:
-            delta["delete"] = deletes
+        deleted, updated, inserted = change.resolve()
+        for key, pairs in (("insert", inserted), ("update", updated)):
+            if pairs:
+                delta[key] = [
+                    [rid, [to_jsonsafe_value(v) for v in row]] for rid, row in pairs
+                ]
+        if deleted:
+            delta["delete"] = deleted
         return delta
 
     def _on_direct_install(

@@ -29,7 +29,6 @@ single reference swap — an error mid-scan leaves the table untouched.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from ..catalog.schema import Schema
@@ -222,10 +221,10 @@ class HeapTable:
         transition, or its start has been trimmed). ``None`` means
         "re-read the table", never an error.
 
-        Precondition: the row ids of state *stamp* were ascending (every
-        logged transition keeps them so, which is what lets changed rows
-        be located by bisection instead of a scan). Work is proportional
-        to the change, not to the table."""
+        The chain's write sets are unioned and resolved against the
+        visible state by :func:`repro.storage.mvcc.resolve_write_set`
+        (ascending row ids — every logged transition keeps them so — and
+        work proportional to the change, not to the table)."""
         txn = mvcc.current_transaction()
         state = self._state if txn is None else txn.committed_view(self)
         if state is None:
@@ -250,29 +249,8 @@ class HeapTable:
                 want = base
             else:
                 return None
-
-        def lookup(rid: int) -> Optional[Row]:
-            pos = bisect_left(ids, rid)
-            if pos < len(ids) and ids[pos] == rid:
-                return rows[pos]
-            return None
-
         appended_ids = [rid for part in reversed(parts) for rid in part]
-        written.difference_update(appended_ids)
-        deleted: list[int] = []
-        upserted: list[tuple[int, Row]] = []
-        for rid in sorted(written):
-            row = lookup(rid)
-            if row is None:
-                deleted.append(rid)
-            else:
-                upserted.append((rid, row))
-        appended = [
-            (rid, row)
-            for rid, row in ((rid, lookup(rid)) for rid in appended_ids)
-            if row is not None  # appended and deleted again in between
-        ]
-        return deleted, upserted, appended
+        return mvcc.resolve_write_set(written, appended_ids, rows, ids)
 
     def _coerce_row(self, values: Sequence[Value]) -> Row:
         if len(values) != len(self.schema):

@@ -1,6 +1,6 @@
 """The sqlite mirror equals the heap, always — and says how it got there.
 
-Two halves:
+Three parts:
 
 * a seeded fuzzer driving random DML through two sessions that share one
   :class:`~repro.engine.database.Database` (autocommit and explicit
@@ -10,6 +10,10 @@ Two halves:
   ``heap.rows`` as that session sees them. A failing seed's op log is
   dumped under ``.txn-failures/`` (uploaded by the CI concurrency-stress
   job, which widens the bank through ``REPRO_TXN_SEEDS``);
+* the same op streams over a durable database, checking the commit's one
+  change record (:class:`~repro.storage.mvcc.CommitChange`) against
+  everything that reads it: the new state, the WAL record, the matview
+  maintainer's table delta and ``HeapTable.changes_since``;
 * scripted sequences asserting the counters: which changes reach the
   mirror as a row-level delta, which force a reload and why
   (``reload_reasons``), and which joins get an index.
@@ -17,6 +21,7 @@ Two halves:
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import sys
@@ -29,6 +34,8 @@ import repro
 from repro import OperationalError, SerializationError
 from repro.backend.runtime import IntegerRangeEscape, adapt_row
 from repro.engine.database import Database
+from repro.engine.matview import MatviewMaintainer
+from repro.storage.table import DELTA_LOG_ROWS, HeapTable
 from repro.workloads.queries import QUERY_CLASSES, with_provenance
 from repro.workloads.tpch import TpchConfig, create_tpch_db
 
@@ -80,10 +87,10 @@ def assert_mirrors_equal_heap(sessions, name: str = "t") -> None:
 class Fuzzer:
     """One seeded run: two sessions, one table, random statements."""
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, database: Database | None = None):
         self.rng = random.Random(seed)
         self.seed = seed
-        self.database = Database()
+        self.database = database if database is not None else Database()
         self.sessions = [
             repro.connect(database=self.database, engine="sqlite") for _ in range(2)
         ]
@@ -229,6 +236,119 @@ def test_fuzzer_exercises_deltas_and_every_reload_reason():
         "delta too large",
         "unmirrorable",
     }
+
+
+# ---------------------------------------------------------------------------
+# The one change record, against everything that reads it
+# ---------------------------------------------------------------------------
+
+
+class ChangeRecordChecker:
+    """Sits around a durable database's commit hooks. Before the commit
+    installs it keeps, per table, the staged change record, a copy of
+    the state it supersedes, the WAL delta written for it and the
+    maintainer's table delta; once it has installed, :meth:`verify`
+    holds all of them against the state that resulted."""
+
+    def __init__(self, database: Database):
+        self.store = database.storage
+        self.maintainer = MatviewMaintainer(database.catalog)
+        self.staged: list = []
+        self.commits = self.row_level = self.coarse = 0
+        manager = database.manager
+        durable, complete = manager.on_commit, manager.on_commit_complete
+
+        def on_commit(seq, changes):
+            for change in changes:
+                self.stage(seq, change)
+            durable(seq, changes)
+
+        def on_commit_complete():
+            self.verify()
+            complete()
+
+        manager.on_commit = on_commit
+        manager.on_commit_complete = on_commit_complete
+
+    def stage(self, seq, change) -> None:
+        rows, version, ids = change.previous
+        wal = json.loads(json.dumps(self.store._delta_for(change)))
+        delta = None
+        if change.written is not None:
+            delta = self.maintainer._delta(change.table.name, change, seq)
+        # Copies: a solo append-only commit extends the lists in place.
+        self.staged.append((change, list(rows), version, list(ids), wal, delta))
+
+    def verify(self) -> None:
+        staged, self.staged = self.staged, []
+        for change, prev_rows, prev_version, prev_ids, wal, delta in staged:
+            self.commits += 1
+            table = change.table
+            rows, version, ids = table._state
+            assert version == change.version
+            # The WAL record replays the superseded state into the new one.
+            scratch = HeapTable(table.name, table.schema)
+            scratch._state = (list(prev_rows), prev_version, list(prev_ids))
+            self.store._replay_delta(scratch, wal)
+            assert scratch._state == (rows, version, ids)
+            if change.written is None:
+                self.coarse += 1
+                assert table.changes_since(prev_version) is None
+                continue
+            self.row_level += 1
+            deleted, updated, inserted = change.resolve()
+            # The resolved change, applied to the superseded state, is
+            # the new state.
+            gone, new = set(deleted), dict(updated)
+            assert gone <= set(prev_ids) and set(new) <= set(prev_ids)
+            kept = [
+                (new.get(rid, row), rid)
+                for row, rid in zip(prev_rows, prev_ids)
+                if rid not in gone
+            ] + [(row, rid) for rid, row in inserted]
+            assert [row for row, _ in kept] == rows
+            assert [rid for _, rid in kept] == ids
+            # The WAL record says the same thing, key by key.
+            for key, pairs in (("insert", inserted), ("update", updated)):
+                assert [rid for rid, _ in wal.get(key, [])] == [rid for rid, _ in pairs]
+            assert wal.get("delete", []) == deleted
+            # The maintainer removes every deleted row and the old half
+            # of every update, and adds the new half and every insert —
+            # at its position in the new state.
+            assert delta.removed == gone | set(new)
+            assert sorted(delta.added, key=lambda a: a[2]) == sorted(
+                ((row, rid, ids.index(rid)) for rid, row in updated + inserted),
+                key=lambda a: a[2],
+            )
+            assert delta.wrapped == [
+                (row, (rid,), (pos,)) for pos, (row, rid) in enumerate(zip(rows, ids))
+            ]
+            self.maintainer._ext[table.name] = (
+                table, version, delta.wrapped, delta.pos_by_id,
+            )
+            # The delta log the mirror reads resolves to the same change.
+            if len(change.written) + len(change.inserted) <= DELTA_LOG_ROWS:
+                assert table.changes_since(prev_version) == (deleted, updated, inserted)
+
+
+def test_one_change_record_feeds_wal_maintainer_and_delta_log(tmp_path):
+    row_level = coarse = 0
+    for seed in range(6):
+        path = str(tmp_path / f"db{seed}")
+        database = Database(path=path, durability="off")
+        try:
+            checker = ChangeRecordChecker(database)
+            Fuzzer(seed, database).fuzz()
+            assert not checker.staged
+            row_level += checker.row_level
+            coarse += checker.coarse
+            live = database.catalog.table("t").table._state
+        finally:
+            database.close()
+        # And the log as a whole recovers exactly the live state.
+        with Database(path=path) as recovered:
+            assert recovered.catalog.table("t").table._state == live
+    assert row_level >= 150 and coarse >= 3
 
 
 # ---------------------------------------------------------------------------

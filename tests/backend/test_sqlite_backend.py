@@ -86,7 +86,7 @@ class TestEngineSelection:
 class TestMirror:
     def test_sync_is_lazy_per_version(self, pair):
         conn = pair["sqlite"]
-        backend = conn.pipeline.planner.sqlite_backend
+        backend = conn.pipeline.planner.backend
         conn.run("SELECT a FROM t")
         synced = backend.tables_synced
         conn.run("SELECT a, b FROM t WHERE a > 0")
@@ -105,7 +105,7 @@ class TestMirror:
 
     def test_one_statement_per_execution(self, pair):
         conn = pair["sqlite"]
-        backend = conn.pipeline.planner.sqlite_backend
+        backend = conn.pipeline.planner.backend
         conn.run("SELECT a, b FROM t JOIN s ON t.a = s.x WHERE a > 0")
         before = backend.statements_executed
         conn.run("SELECT a, b FROM t JOIN s ON t.a = s.x WHERE a > 0")
@@ -329,7 +329,7 @@ class TestSemantics:
         # era) paths must reproduce naive left-to-right accumulation;
         # force the UDF path here so it is exercised on every host.
         sqlite_conn = pair["sqlite"]
-        backend = sqlite_conn.pipeline.planner.sqlite_backend
+        backend = sqlite_conn.pipeline.planner.backend
         saved = backend.native_float_agg
         backend.native_float_agg = False
         try:
@@ -400,7 +400,7 @@ class TestBackendObject:
         conn = repro.connect(engine="sqlite")
         conn.run("CREATE TABLE t (a int); INSERT INTO t VALUES (1)")
         conn.run("SELECT a FROM t")
-        backend = conn.pipeline.planner.sqlite_backend
+        backend = conn.pipeline.planner.backend
         conn.close()
         with pytest.raises(Exception):
             backend.connection.execute("SELECT 1")

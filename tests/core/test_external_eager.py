@@ -8,11 +8,8 @@ import pytest
 from repro import (
     connect,
     CatalogError,
-    RewriteError,
     attach_external_provenance,
     detach_external_provenance,
-    materialize_provenance,
-    stored_provenance_attrs,
 )
 
 
@@ -59,7 +56,7 @@ class TestExternalProvenance:
             "INSERT INTO imported VALUES (1, 'alice')"
         )
         attach_external_provenance(db, "imported", ["who"])
-        assert stored_provenance_attrs(db, "imported") == ("who",)
+        assert db.catalog.provenance_attrs("imported") == ("who",)
         result = db.run("SELECT PROVENANCE v FROM imported")
         assert result.columns == ["v", "who"]
         assert result.provenance_attrs == ("who",)
@@ -89,15 +86,11 @@ class TestEagerProvenance:
         assert result.columns == ["a", "prov_r_a", "prov_r_b"]
         assert result.rows == [(1, 1, "x")]
 
-    def test_materialize_api(self, db):
-        materialize_provenance(db, "p", "SELECT PROVENANCE b FROM r")
-        assert stored_provenance_attrs(db, "p") == ("prov_r_a", "prov_r_b")
+    def test_stored_provenance_columns_are_plain_data(self, db):
+        db.run("CREATE TABLE p AS SELECT PROVENANCE b FROM r")
+        assert db.catalog.provenance_attrs("p") == ("prov_r_a", "prov_r_b")
         result = db.run("SELECT b, prov_r_a FROM p ORDER BY prov_r_a")
         assert result.rows == [("x", 1), ("y", 2)]
-
-    def test_materialize_requires_provenance_query(self, db):
-        with pytest.raises(RewriteError, match="SELECT PROVENANCE"):
-            materialize_provenance(db, "p", "SELECT b FROM r")
 
     def test_provenance_view_registration(self, db):
         db.run("CREATE VIEW pv AS SELECT PROVENANCE a FROM r")

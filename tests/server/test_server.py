@@ -163,7 +163,6 @@ class TestStats:
         assert stats["session"]["latency"]["p50_ms"] is not None
         assert stats["server"]["queries"] >= 3
         assert stats["server"]["sessions_open"] == 1
-        assert stats["server"]["granularity"] == "row"
         assert set(stats["gc"]) >= {"gc_runs", "versions_freed", "rows_freed"}
         # Durability counters ride along; the default test server is
         # in-memory, which the stats must say explicitly.
@@ -230,8 +229,7 @@ class TestCli:
         from repro.server.__main__ import build_parser
 
         args = build_parser().parse_args(
-            ["--port", "0", "--granularity", "table", "--max-sessions", "4"]
+            ["--port", "0", "--max-sessions", "4"]
         )
         assert args.port == 0
-        assert args.granularity == "table"
         assert args.max_sessions == 4

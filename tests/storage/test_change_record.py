@@ -1,0 +1,103 @@
+"""What a commit changed is read from the transaction's write set —
+nobody walks the superseded table state to find out.
+
+The fuzzed agreement checks (change record vs new state, WAL record,
+maintainer delta, ``changes_since``) live beside the mirror fuzzer in
+``tests/backend/test_mirror_sync.py``; this file holds the cost side,
+and what the maintainer's cached state does when the log write fails.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+
+from repro.engine.database import Database
+from repro.storage.persist import WAL_NAME
+from repro.storage.wal import read_records
+
+
+class CountingList(list):
+    """A list that counts how often anyone iterates it."""
+
+    iterations = 0
+
+    def __iter__(self):
+        CountingList.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("size", [300, 3000])
+def test_small_commit_never_iterates_the_previous_state(size: int, tmp_path):
+    path = str(tmp_path / "db")
+    with Database(path=path, durability="os") as db:
+        conn = db.connect()
+        conn.execute("CREATE TABLE t (id int, grp int, val int)")
+        conn.execute("CREATE TABLE d (grp int, label text)")
+        conn.executemany("INSERT INTO d VALUES (?, ?)", [(g, f"g{g}") for g in range(4)])
+        conn.executemany(
+            "INSERT INTO t VALUES (?, ?, ?)", [(i, i % 4, i) for i in range(size)]
+        )
+        conn.execute(
+            "CREATE MATERIALIZED VIEW mv AS SELECT t.id, t.val, d.label "
+            "FROM t JOIN d ON d.grp = t.grp"
+        )
+        conn.execute("UPDATE t SET val = val + 1 WHERE id = 5")  # warm caches
+        assert db.matview_stats()["incremental_commits"] == 1
+
+        heap = db.catalog.table("t").table
+        rows, version, ids = heap._state
+        heap._state = (CountingList(rows), version, CountingList(ids))
+        conn.execute("BEGIN")
+        conn.execute("UPDATE t SET val = -1 WHERE id = 7")  # the scan may iterate
+        CountingList.iterations = 0
+        conn.execute("COMMIT")
+        assert CountingList.iterations == 0
+
+        stats = db.matview_stats()
+        assert stats["incremental_commits"] == 2 and stats["stale_marks"] == 0
+        assert conn.execute("SELECT * FROM mv").fetchall() == conn.execute(
+            "SELECT t.id, t.val, d.label FROM t JOIN d ON d.grp = t.grp"
+        ).fetchall()
+        rid = heap.row_ids[7]
+    records, durable, total = read_records(os.path.join(path, WAL_NAME))
+    assert durable == total
+    tables = records[-1]["tables"]
+    assert tables["t"] == {"version": tables["t"]["version"], "update": [[rid, [7, 3, -1]]]}
+    assert len(tables["mv"]["matview"]["remove"]) == 1
+    assert [row for _, _, row in tables["mv"]["matview"]["insert_at"]] == [[7, -1, "g3"]]
+
+
+def test_failed_wal_append_leaves_no_phantom_row_in_the_maintainer(tmp_path):
+    """The maintainer extends its cached leaf state in place on an
+    append-only commit; a commit whose log record then fails must not
+    leave the appended row behind for later deltas to join against."""
+    with Database(path=str(tmp_path / "db"), durability="off") as db:
+        conn = db.connect()
+        conn.execute("CREATE TABLE t (id int, grp int)")
+        conn.execute("CREATE TABLE d (grp int, label text)")
+        conn.execute("INSERT INTO t VALUES (1, 1), (2, 2)")
+        conn.execute("INSERT INTO d VALUES (1, 'one')")
+        conn.execute(
+            "CREATE MATERIALIZED VIEW mv AS "
+            "SELECT t.id, d.label FROM t JOIN d ON d.grp = t.grp"
+        )
+        conn.execute("INSERT INTO t VALUES (3, 1)")  # maintainer state is cached
+
+        durable = db.manager.on_commit
+
+        def failing(seq, changes):
+            raise OSError("disk full")
+
+        db.manager.on_commit = failing
+        with pytest.raises(OSError):
+            conn.execute("INSERT INTO t VALUES (4, 9)")
+        db.manager.on_commit = durable
+
+        conn.execute("INSERT INTO t VALUES (5, 2)")
+        conn.execute("INSERT INTO d VALUES (9, 'nine'), (2, 'two')")
+        assert db.matview_stats()["stale_marks"] == 0
+        assert conn.execute("SELECT * FROM mv").fetchall() == [
+            (1, "one"), (2, "two"), (3, "one"), (5, "two"),
+        ]

@@ -188,21 +188,6 @@ class TestConflicts:
         with pytest.raises(SerializationError, match="concurrent transaction"):
             second.commit()
 
-    def test_table_granularity_option_restores_coarse_conflicts(self):
-        db = Database(conflict_granularity="table")
-        setup = connect(database=db)
-        setup.run("CREATE TABLE t (a int, b text)")
-        setup.load_rows("t", [(1, "x"), (2, "y")])
-        first = connect(database=db)
-        second = connect(database=db)
-        first.execute("BEGIN")
-        second.execute("BEGIN")
-        first.execute("UPDATE t SET b = 'first' WHERE a = 1")
-        second.execute("UPDATE t SET b = 'second' WHERE a = 2")
-        first.commit()
-        with pytest.raises(SerializationError, match="concurrent transaction"):
-            second.commit()
-
     def test_read_only_transactions_never_conflict(self):
         db, _ = _shared_db()
         reader = connect(database=db)
