@@ -35,6 +35,10 @@ from repro.executor.columns import (
     vec_cmp_const,
 )
 
+pytestmark = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="without numpy no column packs: there is no kernel to time"
+)
+
 ROWS = int(os.environ.get("BENCH_KERNEL_ROWS", "1000000"))
 REPEATS = 5
 
@@ -84,12 +88,11 @@ def test_kernel_microbench():
         "max_i64": lambda: max(ints),
     }
 
-    if HAVE_NUMPY:
-        # The machine paths must engage: a None return means the kernel
-        # declined and the engine would fall back per-element.
-        for name in ("arith_col_col_add", "cmp_const_lt", "and_masks"):
-            assert cases[name]() is not None, name
-        assert cases["arith_spill_bignum"]()[0] == ints[0] + INT64_MAX
+    # The machine paths must engage: a None return means the kernel
+    # declined and the engine would fall back per-element.
+    for name in ("arith_col_col_add", "cmp_const_lt", "and_masks"):
+        assert cases[name]() is not None, name
+    assert cases["arith_spill_bignum"]()[0] == ints[0] + INT64_MAX
 
     results: dict[str, dict] = {}
     table = []
@@ -112,7 +115,7 @@ def test_kernel_microbench():
             )
         )
     print_table(
-        f"Columnar kernels over {ROWS:,} rows (numpy={'on' if HAVE_NUMPY else 'off'})",
+        f"Columnar kernels over {ROWS:,} rows",
         ["kernel", "kernel ms", "python ms", "speedup"],
         table,
     )
@@ -122,12 +125,11 @@ def test_kernel_microbench():
     if os.path.exists(path):
         with open(path) as handle:
             payload = json.load(handle)
-    payload["kernels"] = {"rows": ROWS, "numpy": HAVE_NUMPY, "results": results}
+    payload["kernels"] = {"rows": ROWS, "results": results}
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
     print(f"\nwrote {path}")
 
-    if HAVE_NUMPY:
-        # Advisory floor, far under the measured margin: bulk int
-        # arithmetic must clearly beat the per-element loop.
-        assert results["arith_col_col_add"]["speedup"] >= 2.0
+    # Advisory floor, far under the measured margin: bulk int
+    # arithmetic must clearly beat the per-element loop.
+    assert results["arith_col_col_add"]["speedup"] >= 2.0

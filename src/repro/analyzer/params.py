@@ -15,11 +15,14 @@ contexts stay untyped and accept any value.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
 from ..algebra.tree import walk_tree
 from ..catalog.schema import Schema
-from ..datatypes import SQLType
+from ..datatypes import SQLType, unify_types
+from ..scalars import SCALARS
 
 _COMPARABLE_OPS = frozenset({"=", "<>", "<", ">", "<=", ">=", "+", "-", "*", "/", "%"})
 
@@ -66,7 +69,7 @@ def _match(
     expr: ax.Expr, schema: Schema, outer: tuple[Schema, ...], found: dict[int, SQLType]
 ) -> None:
     if isinstance(expr, ax.BinOp) and expr.op in _COMPARABLE_OPS:
-        _pair(expr.left, expr.right, schema, outer, found)
+        _share((expr.left, expr.right), schema, outer, found)
     elif isinstance(expr, ax.BinOp) and expr.op in ("||", "like", "ilike"):
         # Both operands must be text regardless of the other side.
         for side in (expr.left, expr.right):
@@ -80,27 +83,41 @@ def _match(
         if isinstance(expr.operand, ax.Param):
             _record(found, expr.operand, SQLType.BOOL)
     elif isinstance(expr, ax.DistinctTest):
-        _pair(expr.left, expr.right, schema, outer, found)
+        _share((expr.left, expr.right), schema, outer, found)
     elif isinstance(expr, ax.InListExpr):
         for item in expr.items:
-            _pair(expr.operand, item, schema, outer, found)
+            _share((expr.operand, item), schema, outer, found)
+    elif isinstance(expr, ax.FuncExpr):
+        scalar = SCALARS.get(expr.name)
+        if scalar is not None and scalar.unifies_args:
+            _share(expr.args, schema, outer, found)
+    elif isinstance(expr, ax.CaseExpr):
+        results = [result for _, result in expr.whens]
+        if expr.else_result is not None:
+            results.append(expr.else_result)
+        _share(results, schema, outer, found)
     elif isinstance(expr, ax.SubqueryExpr) and expr.kind in ("in", "quant"):
         if isinstance(expr.operand, ax.Param):
             _record(found, expr.operand, expr.plan.schema[0].type)
 
 
-def _pair(
-    a: ax.Expr,
-    b: ax.Expr,
+def _share(
+    exprs: Sequence[ax.Expr],
     schema: Schema,
     outer: tuple[Schema, ...],
     found: dict[int, SQLType],
 ) -> None:
-    """One side a parameter, the other a typed expression -> record it."""
-    if isinstance(a, ax.Param) == isinstance(b, ax.Param):
-        return  # neither (nothing to do) or both (mutually untypable)
-    param, other = (a, b) if isinstance(a, ax.Param) else (b, a)
-    _record(found, param, ax.static_type(other, schema, outer))
+    """Expressions that must agree on one type (the two sides of a
+    comparison, the arguments of a type-unifying scalar, the result
+    branches of a CASE): a parameter among them takes the unified static
+    type of the others (none, if they are all parameters)."""
+    params = [expr for expr in exprs if isinstance(expr, ax.Param)]
+    if params:
+        shared = SQLType.NULL  # what a parameter itself reports
+        for expr in exprs:
+            shared = unify_types(shared, ax.static_type(expr, schema, outer), "parameter")
+        for param in params:
+            _record(found, param, shared)
 
 
 def _record(found: dict[int, SQLType], param: ax.Param, type_: SQLType) -> None:

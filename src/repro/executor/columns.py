@@ -5,11 +5,12 @@ representation — ``int64`` / ``float64`` / ``bool`` buffers with a
 separate null mask — instead of a list of PyObjects. The representation
 is chosen from the planner's static types: INT/FLOAT/BOOL columns pack,
 TEXT and untyped columns stay plain Python lists. numpy is an *optional
-accelerator*: when importable (and ``REPRO_NUMPY`` is not ``0``) buffers
-are numpy arrays and the kernels below operate on whole buffers; without
-numpy the buffers are ``array('q')`` / ``array('d')`` / ``bytearray``
-(still compact) and kernels fall back to the per-element object paths,
-so results are bit-identical either way.
+accelerator*: when importable, buffers are numpy arrays and the kernels
+below operate on whole buffers; without numpy nothing packs
+(:func:`build_typed_column` returns ``None``), every column is a plain
+list and the engine runs its per-element object paths, so results are
+bit-identical either way. A batch column therefore has two forms — list
+or numpy-backed — never a third.
 
 Exactness is non-negotiable — these kernels must match the row engine's
 unbounded-Python-int semantics bit for bit, so every bulk path guards
@@ -35,19 +36,15 @@ never narrow — the guards stay conservative.
 
 from __future__ import annotations
 
-import os
-from array import array
 from typing import Iterator, Optional, Sequence, Union
 
 from ..datatypes import SQLType, Value
 from ..scalars import arith_interval
 
-_np = None
-if os.environ.get("REPRO_NUMPY", "1") != "0":  # optional accelerator
-    try:  # pragma: no cover - exercised implicitly everywhere
-        import numpy as _np  # type: ignore[no-redef]
-    except Exception:  # pragma: no cover - numpy genuinely absent
-        _np = None
+try:  # optional accelerator
+    import numpy as _np
+except ImportError:  # pragma: no cover - numpy genuinely absent
+    _np = None
 
 HAVE_NUMPY = _np is not None
 
@@ -61,32 +58,30 @@ KIND_I64 = "i64"
 KIND_F64 = "f64"
 KIND_BOOL = "bool"
 
-_KIND_FOR_TYPE = {
-    SQLType.INT: KIND_I64,
-    SQLType.FLOAT: KIND_F64,
-    SQLType.BOOL: KIND_BOOL,
+# Static type -> (kind, numpy dtype, fill stored in NULL slots).
+_PACKED = {
+    SQLType.INT: (KIND_I64, "int64", 0),
+    SQLType.FLOAT: (KIND_F64, "float64", 0.0),
+    SQLType.BOOL: (KIND_BOOL, "bool", False),
 }
-_ZERO = {KIND_I64: 0, KIND_F64: 0.0, KIND_BOOL: False}
 
 
 class TypedColumn:
     """One column of a batch in packed typed form.
 
-    ``data`` is a numpy array (when the accelerator is active) or an
-    ``array``/``bytearray``; ``nulls`` is ``None`` (no NULLs) or a
+    ``data`` is a numpy array; ``nulls`` is ``None`` (no NULLs) or a
     parallel boolean mask. ``values()`` materializes (and caches) the
     plain-Python list view, which is what row materialization, hash
     keys and the object fallback paths consume.
     """
 
-    __slots__ = ("kind", "data", "nulls", "length", "is_np", "_values")
+    __slots__ = ("kind", "data", "nulls", "length", "_values")
 
-    def __init__(self, kind: str, data, nulls, length: int, is_np: bool):
+    def __init__(self, kind: str, data, nulls, length: int):
         self.kind = kind
         self.data = data
         self.nulls = nulls
         self.length = length
-        self.is_np = is_np
         self._values: Optional[list[Value]] = None
 
     def __len__(self) -> int:
@@ -103,65 +98,37 @@ class TypedColumn:
         """The column as a plain Python list (``None`` for NULLs).
         Cached; callers must not mutate the returned list."""
         if self._values is None:
-            if self.is_np:
-                out = self.data.tolist()
-            elif self.kind == KIND_BOOL:
-                out = [v == 1 for v in self.data]
-            else:
-                out = self.data.tolist()
+            out = self.data.tolist()
             if self.nulls is not None:
-                if self.is_np:
-                    positions = _np.nonzero(self.nulls)[0].tolist()
-                else:
-                    positions = [i for i, flag in enumerate(self.nulls) if flag]
-                for i in positions:
+                for i in _np.nonzero(self.nulls)[0].tolist():
                     out[i] = None
             self._values = out
         return self._values
 
     @property
     def null_count(self) -> int:
-        if self.nulls is None:
-            return 0
-        if self.is_np:
-            return int(self.nulls.sum())
-        return sum(self.nulls)
+        return 0 if self.nulls is None else int(self.nulls.sum())
 
     # -- reshaping -----------------------------------------------------
     def take(self, indices) -> "TypedColumn":
         """A new column holding the rows at *indices* (in that order)."""
-        if self.is_np:
-            data = self.data[indices]
-            nulls = self.nulls[indices] if self.nulls is not None else None
-            return TypedColumn(self.kind, data, nulls, len(data), True)
-        index_list = list(indices)
-        if self.kind == KIND_BOOL:
-            data = bytearray(self.data[i] for i in index_list)
-        else:
-            data = array(self.data.typecode, (self.data[i] for i in index_list))
-        nulls = (
-            bytearray(self.nulls[i] for i in index_list)
-            if self.nulls is not None
-            else None
-        )
-        return TypedColumn(self.kind, data, nulls, len(index_list), False)
+        data = self.data[indices]
+        nulls = self.nulls[indices] if self.nulls is not None else None
+        return TypedColumn(self.kind, data, nulls, len(data))
 
     def slice(self, start: int, stop: int) -> "TypedColumn":
         data = self.data[start:stop]
         nulls = self.nulls[start:stop] if self.nulls is not None else None
-        return TypedColumn(self.kind, data, nulls, len(data), self.is_np)
+        return TypedColumn(self.kind, data, nulls, len(data))
 
     # -- mask consumption ---------------------------------------------
     def true_indices(self):
-        """Indices where this boolean column is non-NULL ``True`` —
-        the filter-selection primitive. Returns a numpy index array on
-        the accelerated path, else a Python list."""
+        """Indices (a numpy index array) where this boolean column is
+        non-NULL ``True`` — the filter-selection primitive."""
         assert self.kind == KIND_BOOL
-        if self.is_np:
-            if self.nulls is None:
-                return _np.nonzero(self.data)[0]
-            return _np.nonzero(self.data & ~self.nulls)[0]
-        return [i for i, v in enumerate(self.values()) if v is True]
+        if self.nulls is None:
+            return _np.nonzero(self.data)[0]
+        return _np.nonzero(self.data & ~self.nulls)[0]
 
     # -- interval bounds ----------------------------------------------
     def int_bounds(self) -> tuple[int, int]:
@@ -171,9 +138,7 @@ class TypedColumn:
         assert self.kind == KIND_I64
         if self.length == 0:
             return (0, 0)
-        if self.is_np:
-            return (int(self.data.min()), int(self.data.max()))
-        return (min(self.data), max(self.data))
+        return (int(self.data.min()), int(self.data.max()))
 
 
 # A batch column is either packed or a plain list of Python values.
@@ -181,49 +146,33 @@ AnyColumn = Union[TypedColumn, list]
 
 
 def build_typed_column(
-    values: Sequence[Value], sql_type: Optional[SQLType], use_numpy: Optional[bool] = None
+    values: Sequence[Value], sql_type: Optional[SQLType]
 ) -> Optional[TypedColumn]:
     """Pack *values* into a :class:`TypedColumn`, or return ``None``
-    when the static type has no packed form (TEXT, unknown) or a value
-    escapes the typed domain (an int outside int64 — the caller keeps
-    the object representation; exactness beats packing)."""
-    kind = _KIND_FOR_TYPE.get(sql_type)  # type: ignore[arg-type]
-    if kind is None:
+    (the caller keeps the plain list) when numpy is not importable, the
+    static type has no packed form (TEXT, unknown) or a value escapes
+    the typed domain (an int outside int64 — exactness beats packing)."""
+    packed = _PACKED.get(sql_type)  # type: ignore[arg-type]
+    if packed is None or not HAVE_NUMPY:
         return None
-    n = len(values)
-    numpy_ok = HAVE_NUMPY if use_numpy is None else (use_numpy and HAVE_NUMPY)
+    kind, dtype, zero = packed
     null_count = values.count(None) if isinstance(values, list) else sum(
         1 for v in values if v is None
     )
     if null_count:
-        zero = _ZERO[kind]
         filled = [zero if v is None else v for v in values]
         flags = [v is None for v in values]
     else:
         filled = values if isinstance(values, list) else list(values)
         flags = None
     try:
-        if numpy_ok:
-            if kind == KIND_I64:
-                data = _np.array(filled, dtype=_np.int64)
-            elif kind == KIND_F64:
-                data = _np.array(filled, dtype=_np.float64)
-            else:
-                data = _np.array(filled, dtype=bool)
-            nulls = _np.array(flags, dtype=bool) if flags is not None else None
-            return TypedColumn(kind, data, nulls, n, True)
-        if kind == KIND_I64:
-            data = array("q", filled)
-        elif kind == KIND_F64:
-            data = array("d", filled)
-        else:
-            data = bytearray(filled)
-        nulls = bytearray(flags) if flags is not None else None
-        return TypedColumn(kind, data, nulls, n, False)
+        data = _np.array(filled, dtype=dtype)
     except (OverflowError, ValueError, TypeError):
         # A value escaped the typed domain (int64 overflow, stray type):
         # spill to the object representation.
         return None
+    nulls = _np.array(flags, dtype=bool) if flags is not None else None
+    return TypedColumn(kind, data, nulls, len(values))
 
 
 def column_values(column: AnyColumn) -> list[Value]:
@@ -240,7 +189,7 @@ def column_slice(column: AnyColumn, start: int, stop: int) -> AnyColumn:
 
 
 def _bool_column(mask, nulls) -> TypedColumn:
-    return TypedColumn(KIND_BOOL, mask, nulls, len(mask), True)
+    return TypedColumn(KIND_BOOL, mask, nulls, len(mask))
 
 
 def _union_nulls(a: Optional[object], b: Optional[object]):
@@ -253,19 +202,14 @@ def _union_nulls(a: Optional[object], b: Optional[object]):
 
 def concat_any_columns(parts: Sequence[AnyColumn]) -> AnyColumn:
     """Concatenate per-batch columns into one, preserving packing when
-    every part is a numpy-backed column of the same kind."""
+    every part is a packed column of the same kind."""
     if not parts:
         return []
     if len(parts) == 1:
         return parts[0]
     first = parts[0]
-    if (
-        isinstance(first, TypedColumn)
-        and first.is_np
-        and all(
-            isinstance(p, TypedColumn) and p.is_np and p.kind == first.kind
-            for p in parts
-        )
+    if isinstance(first, TypedColumn) and all(
+        isinstance(p, TypedColumn) and p.kind == first.kind for p in parts
     ):
         data = _np.concatenate([p.data for p in parts])
         if any(p.nulls is not None for p in parts):
@@ -279,7 +223,7 @@ def concat_any_columns(parts: Sequence[AnyColumn]) -> AnyColumn:
             )
         else:
             nulls = None
-        return TypedColumn(first.kind, data, nulls, len(data), True)
+        return TypedColumn(first.kind, data, nulls, len(data))
     out: list[Value] = []
     for part in parts:
         out.extend(column_values(part))
@@ -289,9 +233,7 @@ def concat_any_columns(parts: Sequence[AnyColumn]) -> AnyColumn:
 def f64_has_nan(column: TypedColumn) -> bool:
     """Whether a float64 column contains NaN (NaN breaks total ordering
     and min/max associativity, so bulk paths step aside)."""
-    if column.is_np:
-        return bool(_np.isnan(column.data).any())
-    return any(v != v for v in column.data)
+    return bool(_np.isnan(column.data).any())
 
 
 def int_sum_exact(column: TypedColumn) -> int:
@@ -299,7 +241,7 @@ def int_sum_exact(column: TypedColumn) -> int:
     machine sum when the result provably fits int64, else the unbounded
     Python sum (bignums, never wraps)."""
     lo, hi = column.int_bounds()
-    if column.is_np and max(abs(lo), abs(hi)) * column.length <= INT64_MAX:
+    if max(abs(lo), abs(hi)) * column.length <= INT64_MAX:
         data = (
             column.data if column.nulls is None else column.data[~column.nulls]
         )
@@ -311,7 +253,7 @@ def typed_extreme(column: TypedColumn, want_max: bool) -> Value:
     """min/max over the non-NULL values, or None when there are none.
     NaN-containing float columns use the object path so the (order-
     dependent) Python min/max semantics are preserved exactly."""
-    if column.is_np and column.kind in (KIND_I64, KIND_F64):
+    if column.kind in (KIND_I64, KIND_F64):
         data = (
             column.data if column.nulls is None else column.data[~column.nulls]
         )
@@ -326,8 +268,8 @@ def typed_extreme(column: TypedColumn, want_max: bool) -> Value:
 
 
 # ---------------------------------------------------------------------------
-# Bulk kernels (numpy-backed columns only; callers fall back to the
-# object paths when these return None)
+# Bulk kernels (packed columns only; callers fall back to the object
+# paths when these return None)
 # ---------------------------------------------------------------------------
 
 _CMP_OPS = {
@@ -340,14 +282,10 @@ _CMP_OPS = {
 }
 
 
-def _accelerated(column: AnyColumn) -> bool:
-    return isinstance(column, TypedColumn) and column.is_np
-
-
 def vec_cmp_const(column: AnyColumn, op: str, const: Value) -> Optional[TypedColumn]:
     """``column <op> const`` as a bulk boolean mask, or None when no
     exact machine path exists."""
-    if not _accelerated(column) or column.kind == KIND_BOOL:
+    if not isinstance(column, TypedColumn) or column.kind == KIND_BOOL:
         return None
     if isinstance(const, bool) or not isinstance(const, (int, float)):
         return None
@@ -378,7 +316,7 @@ def vec_cmp_const(column: AnyColumn, op: str, const: Value) -> Optional[TypedCol
 
 def vec_cmp(a: AnyColumn, b: AnyColumn, op: str) -> Optional[TypedColumn]:
     """``a <op> b`` column-vs-column as a bulk boolean mask."""
-    if not (_accelerated(a) and _accelerated(b)):
+    if not (isinstance(a, TypedColumn) and isinstance(b, TypedColumn)):
         return None
     if a.kind == KIND_BOOL or b.kind == KIND_BOOL:
         return None
@@ -394,7 +332,7 @@ def vec_cmp(a: AnyColumn, b: AnyColumn, op: str) -> Optional[TypedColumn]:
 
 
 def vec_isnull(column: AnyColumn, negated: bool) -> Optional[TypedColumn]:
-    if not _accelerated(column):
+    if not isinstance(column, TypedColumn):
         return None
     if column.nulls is None:
         mask = _np.full(column.length, negated, dtype=bool)
@@ -405,7 +343,7 @@ def vec_isnull(column: AnyColumn, negated: bool) -> Optional[TypedColumn]:
 
 def vec_and(a: AnyColumn, b: AnyColumn) -> Optional[TypedColumn]:
     """Three-valued AND over boolean columns: false dominates unknown."""
-    if not (_accelerated(a) and _accelerated(b)):
+    if not (isinstance(a, TypedColumn) and isinstance(b, TypedColumn)):
         return None
     if a.kind != KIND_BOOL or b.kind != KIND_BOOL:
         return None
@@ -421,7 +359,7 @@ def vec_and(a: AnyColumn, b: AnyColumn) -> Optional[TypedColumn]:
 
 def vec_or(a: AnyColumn, b: AnyColumn) -> Optional[TypedColumn]:
     """Three-valued OR over boolean columns: true dominates unknown."""
-    if not (_accelerated(a) and _accelerated(b)):
+    if not (isinstance(a, TypedColumn) and isinstance(b, TypedColumn)):
         return None
     if a.kind != KIND_BOOL or b.kind != KIND_BOOL:
         return None
@@ -436,7 +374,7 @@ def vec_or(a: AnyColumn, b: AnyColumn) -> Optional[TypedColumn]:
 
 
 def vec_not(a: AnyColumn) -> Optional[TypedColumn]:
-    if not _accelerated(a) or a.kind != KIND_BOOL:
+    if not isinstance(a, TypedColumn) or a.kind != KIND_BOOL:
         return None
     return _bool_column(~a.data, a.nulls)
 
@@ -444,14 +382,14 @@ def vec_not(a: AnyColumn) -> Optional[TypedColumn]:
 def vec_neg(a: AnyColumn) -> Optional[AnyColumn]:
     """Unary minus; spills to the exact object path when negating could
     overflow int64 (only ``-INT64_MIN``)."""
-    if not _accelerated(a) or a.kind == KIND_BOOL:
+    if not isinstance(a, TypedColumn) or a.kind == KIND_BOOL:
         return None
     if a.kind == KIND_I64:
         low, _ = a.int_bounds()
         if low == INT64_MIN:
             return [None if v is None else -v for v in a.values()]
-        return TypedColumn(KIND_I64, -a.data, a.nulls, a.length, True)
-    return TypedColumn(KIND_F64, -a.data, a.nulls, a.length, True)
+        return TypedColumn(KIND_I64, -a.data, a.nulls, a.length)
+    return TypedColumn(KIND_F64, -a.data, a.nulls, a.length)
 
 
 def _operand_info(operand):
@@ -506,8 +444,6 @@ def vec_arith(op: str, a, b, length: int) -> Optional[AnyColumn]:
         return None
     if not (a_col or b_col):
         return None
-    if (a_col and not a.is_np) or (b_col and not b.is_np):
-        return None
     # A scalar int operand beyond int64 cannot enter a numpy kernel at
     # all (the operand conversion itself overflows, even when the
     # *result* interval fits). Exact object evaluation instead.
@@ -535,7 +471,7 @@ def vec_arith(op: str, a, b, length: int) -> Optional[AnyColumn]:
                 data = ad - bd
             else:
                 data = ad * bd
-            return TypedColumn(KIND_I64, data, nulls, length, True)
+            return TypedColumn(KIND_I64, data, nulls, length)
         # Mixed or float: float64 result. int64 -> float64 casts round
         # to nearest, exactly as Python's int -> float conversion does,
         # so the machine result matches the row engine bit for bit.
@@ -547,7 +483,7 @@ def vec_arith(op: str, a, b, length: int) -> Optional[AnyColumn]:
             data = ad * bd
         if data.dtype != _np.float64:  # e.g. int column + float scalar edge
             data = data.astype(_np.float64)
-        return TypedColumn(KIND_F64, data, nulls, length, True)
+        return TypedColumn(KIND_F64, data, nulls, length)
 
     if op == "/":
         # Any true zero divisor must raise in row order — leave that to
@@ -577,11 +513,11 @@ def vec_arith(op: str, a, b, length: int) -> Optional[AnyColumn]:
                     return _spill_arith(op, a, b, length)
             remainder = _np.fmod(ad, bd)
             data = (ad - remainder) // bd
-            return TypedColumn(KIND_I64, data, nulls, length, True)
+            return TypedColumn(KIND_I64, data, nulls, length)
         data = ad / bd
         if data.dtype != _np.float64:
             data = data.astype(_np.float64)
-        return TypedColumn(KIND_F64, data, nulls, length, True)
+        return TypedColumn(KIND_F64, data, nulls, length)
 
     if op == "%":
         if not both_int:
@@ -606,6 +542,6 @@ def vec_arith(op: str, a, b, length: int) -> Optional[AnyColumn]:
         # C-style fmod on int64 is the truncated remainder — exactly
         # SQL's sign-of-the-dividend modulo.
         data = _np.fmod(ad, bd)
-        return TypedColumn(KIND_I64, data, nulls, length, True)
+        return TypedColumn(KIND_I64, data, nulls, length)
 
     return None

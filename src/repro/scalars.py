@@ -55,6 +55,9 @@ class Scalar(NamedTuple):
     kernel: Kernel  # exact evaluation over the argument list
     result_type: TypeRule  # static result type from the argument types
     sql_visible: bool = True  # False: compiler-internal exact helper
+    # All arguments must share one type, so a bind parameter among them
+    # is expected to have its siblings' (:mod:`repro.analyzer.params`).
+    unifies_args: bool = False
 
     def check_arity(self, nargs: int) -> None:
         if nargs >= self.min_args and (self.max_args is None or nargs <= self.max_args):
@@ -298,10 +301,10 @@ SCALARS: dict[str, Scalar] = {
             _TEXT,
         ),
         Scalar("concat", 0, None, _concat, _TEXT),
-        Scalar("coalesce", 1, None, _coalesce, _unified("coalesce")),
-        Scalar("nullif", 2, 2, _nullif, _first),
-        Scalar("greatest", 1, None, _extreme(1), _unified("greatest")),
-        Scalar("least", 1, None, _extreme(-1), _unified("least")),
+        Scalar("coalesce", 1, None, _coalesce, _unified("coalesce"), unifies_args=True),
+        Scalar("nullif", 2, 2, _nullif, _first, unifies_args=True),
+        Scalar("greatest", 1, None, _extreme(1), _unified("greatest"), unifies_args=True),
+        Scalar("least", 1, None, _extreme(-1), _unified("least"), unifies_args=True),
         # -- compiler-internal exact helpers ---------------------------
         # '/' with the engine's rules (raise on zero, truncate toward
         # zero); used where native target division could diverge.

@@ -42,7 +42,10 @@ property with the copy-on-write flavor of MVCC:
   transaction already holds — :class:`CommitChange` carries the ids it
   updated-or-deleted and the ids it appended — and turn it into rows
   with :func:`resolve_write_set`, whose cost follows the change, not
-  the table. Nothing downstream compares two table states.
+  the table. Nothing downstream compares two table states. Its inverse,
+  :func:`apply_change`, is the only code that applies such a change to
+  a state: WAL replay uses it to redo a commit, the disjoint-row merge
+  to replay a transaction's effects onto the current state.
 
 * **Version GC**: each committed write appends a history entry (its
   commit sequence number, its row-level write set, and the superseded
@@ -352,6 +355,12 @@ class _Working:
         )
 
 
+def _position(ids: Sequence[int], rid: int) -> Optional[int]:
+    """Where *rid* sits in the ascending id list *ids* (``None``: absent)."""
+    pos = bisect_left(ids, rid)
+    return pos if pos < len(ids) and ids[pos] == rid else None
+
+
 def resolve_write_set(
     written: Collection[int],
     inserted: Iterable[int],
@@ -374,10 +383,8 @@ def resolve_write_set(
     out of the write set in the first place)."""
 
     def lookup(rid: int) -> Optional["Row"]:
-        pos = bisect_left(ids, rid)
-        if pos < len(ids) and ids[pos] == rid:
-            return rows[pos]
-        return None
+        pos = _position(ids, rid)
+        return None if pos is None else rows[pos]
 
     run = list(inserted)
     start = bisect_left(ids, run[0]) if run else 0
@@ -402,6 +409,33 @@ def resolve_write_set(
             else:
                 updated.append((rid, row))
     return deleted, updated, inserted_pairs
+
+
+def apply_change(
+    rows: Sequence["Row"],
+    ids: Sequence[int],
+    deleted: Collection[int],
+    updated: Iterable[tuple[int, "Row"]],
+    inserted: Iterable[tuple[int, "Row"]],
+) -> tuple[list["Row"], list[int]]:
+    """The inverse of :func:`resolve_write_set`: the ``(rows, ids)``
+    state a change leads to from the state *rows*/*ids* (ascending ids,
+    holding every deleted and updated id), as fresh lists — the inputs
+    may be a committed state other snapshots still read. Updated rows
+    keep their position, inserted rows append in the order given. This
+    is the only place a row-level change is applied to a state: WAL
+    replay and the disjoint-row commit merge both call it."""
+    new_rows, new_ids = list(rows), list(ids)
+    for rid, row in updated:
+        new_rows[bisect_left(ids, rid)] = row
+    if deleted:
+        gone = set(deleted)
+        new_rows = [row for row, rid in zip(new_rows, ids) if rid not in gone]
+        new_ids = [rid for rid in ids if rid not in gone]
+    for rid, row in inserted:
+        new_rows.append(row)
+        new_ids.append(rid)
+    return new_rows, new_ids
 
 
 class CommitChange:
@@ -662,38 +696,29 @@ class Transaction:
         wrote, ids of the rows it inserted)``. Returns ``None`` if a row
         this transaction wrote no longer exists — the defensive signal
         to abort."""
-        snap_rows, _, snap_ids = self._snapshot[table]
-        w_rows, w_ids = working.final_state()
-        content = dict(zip(w_ids, w_rows))
-        snap_id_set = set(snap_ids)
-        # Only rows that existed in the snapshot participate in the
-        # merge; a row this transaction inserted *and* wrote again (its
-        # id is fresh) rides along as a plain insert.
-        written = frozenset(working.written & snap_id_set)
-        deleted = {rid for rid in written if rid not in content}
-        updated = written - deleted
+        # A row this transaction inserted *and* wrote again resolves as
+        # a plain insert, so only snapshot rows count as written.
+        deleted, updated, inserted = resolve_write_set(
+            working.written, working.inserted, *working.final_state()
+        )
+        written = frozenset(deleted).union(rid for rid, _ in updated)
         cur_rows, _, cur_ids = table._state
-        cur_id_set = set(cur_ids)
-        if (deleted | updated) - cur_id_set:
+        if any(_position(cur_ids, rid) is None for rid in written):
             return None
-        new_rows: list["Row"] = []
-        new_ids: list[int] = []
-        for row, rid in zip(cur_rows, cur_ids):
-            if rid in deleted:
-                continue
-            if rid in updated:
-                new_rows.append(content[rid])
-            else:
-                new_rows.append(row)
-            new_ids.append(rid)
-        inserted = [row for rid, row in zip(w_ids, w_rows) if rid not in snap_id_set]
         # The inserted rows get fresh identities: the ids they were
         # staged under may be older than ids others committed meanwhile,
-        # and every committed id list stays ascending (the delta log's
-        # consumers locate rows by bisection). Nobody outside this
-        # transaction has seen the staged ids.
-        inserted_ids = new_row_ids(len(inserted))
-        return new_rows + inserted, new_ids + inserted_ids, written, inserted_ids
+        # and every committed id list stays ascending (rows are located
+        # by bisection). Nobody outside this transaction has seen the
+        # staged ids.
+        fresh = new_row_ids(len(inserted))
+        rows, ids = apply_change(
+            cur_rows,
+            cur_ids,
+            deleted,
+            updated,
+            ((rid, row) for rid, (_, row) in zip(fresh, inserted)),
+        )
+        return rows, ids, written, fresh
 
     def commit(self) -> None:
         """Install every working copy as the new committed state.

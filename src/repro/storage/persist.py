@@ -1,69 +1,183 @@
-"""Durable databases: checkpoint snapshots plus write-ahead recovery.
+"""Durable databases: a checkpoint log plus a write-ahead log, one replay.
 
-A persistent database is a directory::
+A persistent database is a directory of two logs in one record
+vocabulary (:mod:`repro.storage.wal` frames both)::
 
     <data-dir>/
-        MANIFEST.json      # catalog + counters + heap-file map (atomic)
-        wal.log            # commit/DDL records since the manifest
-        heap/
-            g00000002-t0000.heap   # one JSON heap file per table
+        snapshot.log       # the checkpoint: the state as of checkpoint_seq
+        wal.log            # commit/DDL records since the checkpoint
 
-The manifest is the *checkpoint*: a consistent snapshot of every table,
-the schema catalog and the MVCC counters, written via temp-file +
-``rename`` so a crash mid-checkpoint always leaves either the old or
-the new manifest intact (heap files are generation-numbered, so a new
-checkpoint never overwrites a file the old manifest still references).
-Everything since the checkpoint lives in the write-ahead log
-(:mod:`repro.storage.wal`): row-level commit deltas stamped with their
-MVCC commit version — each one the commit's own
-:class:`~repro.storage.mvcc.CommitChange` resolved to rows, never a
-comparison of table states — full states for coarse and
-non-transactional writes, and DDL records.
+``wal.log`` holds what happened since the checkpoint: row-level commit
+deltas stamped with their MVCC commit version — each one the commit's
+own :class:`~repro.storage.mvcc.CommitChange` resolved to rows, never a
+comparison of table states — full states (``direct``) for coarse and
+non-transactional writes, and DDL records. ``snapshot.log`` says the
+same things about the state *at* the checkpoint, in the records the
+logging hooks would have written had the database been built that
+instant: a ``checkpoint`` header (format, catalog version, and the
+counter fields every record carries — its ``seq`` is the checkpoint's),
+then ``create_table`` + ``direct`` per table, ``create_view`` per view,
+``create_matview`` + ``direct`` + ``matview_fresh`` (+ ``matview_stale``)
+per materialized view, and the header once more as the closing frame.
+Every record kind has one builder, shared by the hook that logs it and
+by :meth:`PersistentStore.checkpoint`, and one branch in
+:meth:`PersistentStore._replay`.
 
-Recovery = load the manifest, replay every complete WAL record whose
-sequence number exceeds the manifest's ``checkpoint_seq`` (making
-replay idempotent across repeated recoveries), truncate any torn tail,
-and raise the process-global MVCC counters above everything the log
-recorded — so a kill at any byte offset recovers exactly the durable
-committed prefix, with version stamps that stay monotone across
-restarts.
+A checkpoint streams those frames into ``snapshot.log.tmp``, fsyncs it,
+renames it over ``snapshot.log`` and only then empties ``wal.log``, so a
+crash at any step leaves a complete snapshot plus a log that covers
+everything after it.
+
+Recovery = replay ``snapshot.log``, then every complete ``wal.log``
+record whose sequence number exceeds the checkpoint's (which makes
+replay idempotent across repeated recoveries and across a crash between
+the rename and the log reset), truncate any torn log tail, and raise the
+process-global MVCC counters above everything either log recorded — so a
+kill at any byte offset recovers exactly the durable committed prefix,
+with version stamps that stay monotone across restarts. A snapshot is
+all-or-nothing: one that is torn, corrupt or of another format, and a
+format-1 directory (``MANIFEST.json`` + heap files), are refused with an
+:class:`~repro.errors.OperationalError` rather than partly recovered.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Optional
+from contextlib import closing
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from ..catalog.schema import Attribute, Schema
 from ..datatypes import from_jsonsafe_value, to_jsonsafe_value, type_from_name
 from ..errors import OperationalError
 from . import mvcc
-from .wal import DURABILITY_MODES, WriteAheadLog, read_records, truncate_log
+from .wal import (
+    DURABILITY_MODES,
+    WriteAheadLog,
+    encode_record,
+    read_records,
+    truncate_log,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..catalog.catalog import Catalog, TableEntry, ViewEntry
+    from ..catalog.catalog import Catalog, MatviewEntry, TableEntry, ViewEntry
     from ..engine.database import Database
     from .table import HeapTable, Row
 
-MANIFEST_NAME = "MANIFEST.json"
+SNAPSHOT_NAME = "snapshot.log"
 WAL_NAME = "wal.log"
-HEAP_DIR = "heap"
-FORMAT_VERSION = 1
+V1_MANIFEST_NAME = "MANIFEST.json"  # recognised only to refuse the directory
+FORMAT_VERSION = 2
 
 # Rewrite the snapshot once the log outgrows this many bytes (tunable
 # per database; CHECKPOINT forces one regardless).
 DEFAULT_CHECKPOINT_BYTES = 16 * 1024 * 1024
 
 
-def _encode_rows(rows: list["Row"]) -> list[list]:
-    return [[to_jsonsafe_value(v) for v in row] for row in rows]
+def _encode_row(row: "Row") -> list:
+    return [to_jsonsafe_value(v) for v in row]
 
 
-def _decode_rows(rows: list[list]) -> list["Row"]:
-    return [tuple(from_jsonsafe_value(v) for v in row) for row in rows]
+def _decode_row(row: list) -> "Row":
+    return tuple(from_jsonsafe_value(v) for v in row)
+
+
+def _decode_pairs(pairs: Iterable[list]) -> list[tuple[int, "Row"]]:
+    return [(rid, _decode_row(row)) for rid, row in pairs]
+
+
+def _columns(schema: Schema) -> list[list[str]]:
+    return [[a.name, a.type.value] for a in schema]
+
+
+def _schema(columns: list[list[str]]) -> Schema:
+    return Schema(Attribute(name, type_from_name(t)) for name, t in columns)
+
+
+def _versions(versions: dict) -> dict[str, int]:
+    return {str(name): int(version) for name, version in versions.items()}
+
+
+# ---------------------------------------------------------------------------
+# Record builders: the one description of each relation-level fact, used
+# by the hook that logs it and by the checkpoint that restates it.
+# ---------------------------------------------------------------------------
+
+
+def _create_table_record(entry: "TableEntry") -> dict:
+    return {
+        "kind": "create_table",
+        "name": entry.name,
+        "columns": _columns(entry.schema),
+        "provenance": list(entry.provenance_attrs),
+        "version": entry.table._state[1],
+    }
+
+
+def _direct_record(name: str, rows: list["Row"], version: int, ids: list[int]) -> dict:
+    return {
+        "kind": "direct",
+        "table": name,
+        "version": version,
+        "rows": [_encode_row(row) for row in rows],
+        "ids": list(ids),
+    }
+
+
+def _create_view_record(entry: "ViewEntry") -> dict:
+    return {
+        "kind": "create_view",
+        "name": entry.name,
+        "sql": entry.sql,
+        "provenance": list(entry.provenance_attrs),
+    }
+
+
+def _create_matview_record(entry: "MatviewEntry") -> dict:
+    return {
+        "kind": "create_matview",
+        "name": entry.name,
+        "sql": entry.sql,
+        "with_provenance": entry.with_provenance,
+        "columns": _columns(entry.schema),
+        "provenance": list(entry.provenance_attrs),
+        "version": entry.table._state[1],
+    }
+
+
+def _matview_fresh_record(entry: "MatviewEntry") -> dict:
+    return {
+        "kind": "matview_fresh",
+        "name": entry.name,
+        "delta_safe": entry.delta_safe,
+        "base_tables": list(entry.base_tables),
+        "base_versions": dict(entry.base_versions),
+    }
+
+
+def _matview_stale_record(name: str) -> dict:
+    return {"kind": "matview_stale", "name": name}
+
+
+def _snapshot_records(catalog: "Catalog") -> Iterator[dict]:
+    """The catalog and every heap as the records that would rebuild
+    them, one at a time (a checkpoint holds one table's encoding, never
+    the database's)."""
+    for entry in catalog.tables:
+        yield _create_table_record(entry)
+        yield _direct_record(entry.name, *entry.table._state)
+    for view in catalog.views:
+        yield _create_view_record(view)
+    for entry in catalog.matviews:
+        yield _create_matview_record(entry)
+        yield _direct_record(entry.name, *entry.table._state)
+        # Maintenance bookkeeping survives staleness (a stale view still
+        # knows its base tables), exactly as the log would replay it.
+        yield _matview_fresh_record(entry)
+        if entry.stale:
+            yield _matview_stale_record(entry.name)
 
 
 def _fsync_directory(path: str) -> None:
@@ -78,11 +192,12 @@ def _fsync_directory(path: str) -> None:
         os.close(fd)
 
 
-def _write_atomically(path: str, data: bytes) -> None:
-    """Write *data* to *path* via temp file + fsync + atomic rename."""
+def _write_atomically(path: str, chunks: Iterable[bytes]) -> None:
+    """Stream *chunks* to *path* via temp file + fsync + atomic rename."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
-        handle.write(data)
+        for chunk in chunks:
+            handle.write(chunk)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -112,11 +227,10 @@ class PersistentStore:
         self.path = os.path.abspath(path)
         self.durability = durability
         self.checkpoint_bytes = checkpoint_bytes
-        os.makedirs(os.path.join(self.path, HEAP_DIR), exist_ok=True)
+        os.makedirs(self.path, exist_ok=True)
         self._lock = threading.RLock()
         self._database: Optional["Database"] = None
         self._wal: Optional[WriteAheadLog] = None
-        self._generation = 0
         # Telemetry.
         self.records_replayed = 0
         self.torn_bytes_truncated = 0
@@ -133,126 +247,73 @@ class PersistentStore:
         started = time.perf_counter()
         self._database = database
         catalog = database.catalog
-        checkpoint_seq = 0
-        max_stamp = max_seq = max_row = 0
-        manifest = self._load_manifest()
-        if manifest is not None:
-            if manifest.get("format") != FORMAT_VERSION:
-                raise OperationalError(
-                    f"unsupported data-directory format "
-                    f"{manifest.get('format')!r} at {self.path}"
-                )
-            self._generation = int(manifest.get("generation", 0))
-            checkpoint_seq = int(manifest.get("checkpoint_seq", 0))
-            counters = manifest.get("counters", {})
-            max_stamp = int(counters.get("stamp", 0))
-            max_seq = int(counters.get("commit_seq", 0))
-            max_row = int(counters.get("row_id", 0))
-            for spec in manifest.get("tables", []):
-                self._load_table(catalog, spec)
-            for spec in manifest.get("views", []):
-                self._load_view(catalog, spec)
-            for spec in manifest.get("matviews", []):
-                self._load_matview(catalog, spec)
-            catalog.version = int(manifest.get("catalog_version", catalog.version))
-            self.last_checkpoint_seq = checkpoint_seq
+        if os.path.exists(os.path.join(self.path, V1_MANIFEST_NAME)):
+            raise OperationalError(
+                f"{self.path} is a format-1 data directory "
+                f"({V1_MANIFEST_NAME} + heap files); this version reads only "
+                f"format {FORMAT_VERSION} ({SNAPSHOT_NAME} + {WAL_NAME})"
+            )
+        snapshot_path = os.path.join(self.path, SNAPSHOT_NAME)
+        if os.path.exists(snapshot_path + ".tmp"):
+            # A checkpoint that died before its rename: never the truth.
+            os.unlink(snapshot_path + ".tmp")
+        checkpoint: dict = {}
+        if os.path.exists(snapshot_path):
+            checkpoint = self._replay_snapshot(catalog, snapshot_path)
+        high = {key: int(checkpoint.get(key, 0)) for key in ("seq", "stamp", "row_id")}
+        self.last_checkpoint_seq = high["seq"]
         wal_path = os.path.join(self.path, WAL_NAME)
         if os.path.exists(wal_path):
-            records, durable, total = read_records(wal_path)
-            if durable < total:
+            durable = 0
+            for record, durable in read_records(wal_path):
+                for key in high:
+                    high[key] = max(high[key], int(record.get(key, 0)))
+                # At or below the checkpoint's seq: already inside the
+                # snapshot (the log was not reset after it, or not yet).
+                if int(record.get("seq", 0)) > self.last_checkpoint_seq:
+                    self._replay(catalog, record)
+                    self.records_replayed += 1
+            torn = os.path.getsize(wal_path) - durable
+            if torn:
                 truncate_log(wal_path, durable)
-                self.torn_bytes_truncated += total - durable
-            for record in records:
-                seq = int(record.get("seq", 0))
-                max_seq = max(max_seq, seq)
-                max_stamp = max(max_stamp, int(record.get("stamp", 0)))
-                max_row = max(max_row, int(record.get("row_id", 0)))
-                if seq <= checkpoint_seq:
-                    continue  # already inside the checkpoint snapshot
-                self._replay(catalog, record)
-                self.records_replayed += 1
+                self.torn_bytes_truncated += torn
         # Future stamps/sequences/row ids must exceed everything any
         # durable record ever named, or a post-recovery commit could
         # collide with a logged one.
-        mvcc.raise_counters(stamp=max_stamp, commit_seq=max_seq, row_id=max_row)
+        mvcc.raise_counters(
+            stamp=high["stamp"], commit_seq=high["seq"], row_id=high["row_id"]
+        )
         self._wal = WriteAheadLog(wal_path, self.durability)
         self._attach(database)
         self.recovery_seconds = time.perf_counter() - started
 
-    def _load_manifest(self) -> Optional[dict]:
-        path = os.path.join(self.path, MANIFEST_NAME)
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as handle:
-            return json.load(handle)
-
-    def _load_table(self, catalog: "Catalog", spec: dict) -> None:
-        schema = Schema(
-            Attribute(name, type_from_name(type_name))
-            for name, type_name in spec["columns"]
-        )
-        entry = catalog.create_table(
-            spec["name"], schema, provenance_attrs=tuple(spec.get("provenance", ()))
-        )
-        with open(os.path.join(self.path, spec["heap"]), "rb") as handle:
-            heap = json.load(handle)
-        entry.table._state = (
-            _decode_rows(heap["rows"]),
-            int(spec["version"]),
-            list(heap["ids"]),
-        )
-
-    def _load_view(self, catalog: "Catalog", spec: dict) -> None:
-        from ..sql.parser import Parser
-
-        catalog.create_view(
-            spec["name"],
-            Parser(spec["sql"]).parse_query_expr(),
-            spec["sql"],
-            or_replace=True,
-            provenance_attrs=tuple(spec.get("provenance", ())),
-        )
-
-    def _create_matview_entry(self, catalog: "Catalog", spec: dict):
-        """Shared by manifest load and WAL replay: re-register a
-        materialized view from its durable description. Maintenance
-        state that cannot be persisted (the compiled program, per-row
-        source ids) is rebuilt by the first refresh; until then the view
-        degrades to stale-and-recompute on its first base write."""
-        from ..sql.parser import Parser
-
-        schema = Schema(
-            Attribute(name, type_from_name(type_name))
-            for name, type_name in spec["columns"]
-        )
-        entry = catalog.create_matview(
-            spec["name"],
-            schema,
-            Parser(spec["sql"]).parse_query_expr(),
-            spec["sql"],
-            with_provenance=bool(spec.get("with_provenance", False)),
-            provenance_attrs=tuple(spec.get("provenance", ())),
-        )
-        entry.stale = bool(spec.get("stale", False))
-        entry.delta_safe = bool(spec.get("delta_safe", False))
-        entry.base_tables = tuple(spec.get("base_tables", ()))
-        entry.base_versions = {
-            str(name): int(version)
-            for name, version in spec.get("base_versions", {}).items()
-        }
-        return entry
-
-    def _load_matview(self, catalog: "Catalog", spec: dict) -> None:
-        entry = self._create_matview_entry(catalog, spec)
-        with open(os.path.join(self.path, spec["heap"]), "rb") as handle:
-            heap = json.load(handle)
-        entry.table._state = (
-            _decode_rows(heap["rows"]),
-            int(spec["version"]),
-            list(heap["ids"]),
-        )
+    def _replay_snapshot(self, catalog: "Catalog", path: str) -> dict:
+        """Replay the checkpoint at *path*, all of it or refuse: returns
+        its header. A snapshot only ever appears by atomic rename, so
+        anything short of header ... header is damage, not a crash."""
+        with closing(read_records(path)) as frames:
+            header, end = next(frames, ({}, 0))
+            if header.get("kind") != "checkpoint":
+                raise OperationalError(f"{path} does not start with a checkpoint header")
+            if header.get("format") != FORMAT_VERSION:
+                raise OperationalError(
+                    f"unsupported data-directory format "
+                    f"{header.get('format')!r} at {self.path}"
+                )
+            record = None
+            for record, end in frames:
+                self._replay(catalog, record)
+        if record != header or end != os.path.getsize(path):
+            raise OperationalError(
+                f"{path} is torn or corrupt after byte {end}; "
+                "refusing to recover a partial checkpoint"
+            )
+        catalog.version = int(header["catalog_version"])
+        return header
 
     def _replay(self, catalog: "Catalog", record: dict) -> None:
+        from ..sql.parser import Parser  # storage sits below the SQL layer
+
         kind = record.get("kind")
         if kind == "commit":
             for name, delta in record["tables"].items():
@@ -260,31 +321,41 @@ class PersistentStore:
                 self._replay_delta(entry.table, delta)
                 versions = delta.get("matview", {}).get("base_versions")
                 if versions:
-                    entry.base_versions = {
-                        str(t): int(v) for t, v in versions.items()
-                    }
+                    entry.base_versions = _versions(versions)
         elif kind == "direct":
-            table = catalog.scan_entry(record["table"]).table
-            table._state = (
-                _decode_rows(record["rows"]),
+            catalog.scan_entry(record["table"]).table._state = (
+                [_decode_row(row) for row in record["rows"]],
                 int(record["version"]),
                 list(record["ids"]),
             )
         elif kind == "create_table":
-            schema = Schema(
-                Attribute(name, type_from_name(type_name))
-                for name, type_name in record["columns"]
-            )
             entry = catalog.create_table(
                 record["name"],
-                schema,
+                _schema(record["columns"]),
                 provenance_attrs=tuple(record.get("provenance", ())),
             )
             entry.table._state = ([], int(record["version"]), [])
         elif kind == "create_view":
-            self._load_view(catalog, record)
+            catalog.create_view(
+                record["name"],
+                Parser(record["sql"]).parse_query_expr(),
+                record["sql"],
+                or_replace=True,
+                provenance_attrs=tuple(record.get("provenance", ())),
+            )
         elif kind == "create_matview":
-            self._create_matview_entry(catalog, record)
+            # Maintenance state that cannot be persisted (the compiled
+            # program, per-row source ids) is rebuilt by the first
+            # refresh; until then the view degrades to stale-and-
+            # recompute on its first base write.
+            catalog.create_matview(
+                record["name"],
+                _schema(record["columns"]),
+                Parser(record["sql"]).parse_query_expr(),
+                record["sql"],
+                with_provenance=bool(record.get("with_provenance", False)),
+                provenance_attrs=tuple(record.get("provenance", ())),
+            )
         elif kind == "matview_stale":
             if catalog.has_matview(record["name"]):
                 catalog.matview(record["name"]).stale = True
@@ -294,10 +365,7 @@ class PersistentStore:
                 entry.stale = False
                 entry.delta_safe = bool(record.get("delta_safe", False))
                 entry.base_tables = tuple(record.get("base_tables", ()))
-                entry.base_versions = {
-                    str(t): int(v)
-                    for t, v in record.get("base_versions", {}).items()
-                }
+                entry.base_versions = _versions(record.get("base_versions", {}))
         elif kind == "drop":
             if record["relation"] == "table":
                 catalog.drop_table(record["name"], if_exists=True)
@@ -309,7 +377,8 @@ class PersistentStore:
             catalog.register_provenance_attrs(
                 record["name"], tuple(record["attrs"])
             )
-        # Unknown kinds are skipped (forward compatibility).
+        # Anything else is skipped: the snapshot's closing header, and
+        # kinds a later version may add (forward compatibility).
 
     def _replay_delta(self, table: "HeapTable", delta: dict) -> None:
         rows, _, ids = table._state
@@ -326,28 +395,19 @@ class PersistentStore:
                 new_rows.append(row)
                 new_ids.append(rid)
             for index, rid, row in matview["insert_at"]:
-                new_rows.insert(index, tuple(from_jsonsafe_value(v) for v in row))
+                new_rows.insert(index, _decode_row(row))
                 new_ids.insert(index, rid)
-            table._state = (new_rows, int(delta["version"]), new_ids)
-            return
-        if "state" in delta:
-            new_rows = _decode_rows(delta["state"]["rows"])
+        elif "state" in delta:
+            new_rows = [_decode_row(row) for row in delta["state"]["rows"]]
             new_ids = list(delta["state"]["ids"])
         else:
-            deleted = set(delta.get("delete", ()))
-            updated = {
-                rid: tuple(from_jsonsafe_value(v) for v in row)
-                for rid, row in delta.get("update", ())
-            }
-            new_rows, new_ids = [], []
-            for row, rid in zip(rows, ids):
-                if rid in deleted:
-                    continue
-                new_rows.append(updated.get(rid, row))
-                new_ids.append(rid)
-            for rid, row in delta.get("insert", ()):
-                new_rows.append(tuple(from_jsonsafe_value(v) for v in row))
-                new_ids.append(rid)
+            new_rows, new_ids = mvcc.apply_change(
+                rows,
+                ids,
+                delta.get("delete", ()),
+                _decode_pairs(delta.get("update", ())),
+                _decode_pairs(delta.get("insert", ())),
+            )
         table._state = (new_rows, int(delta["version"]), new_ids)
 
     def _attach(self, database: "Database") -> None:
@@ -360,14 +420,6 @@ class PersistentStore:
     # ------------------------------------------------------------------
     # Logging hooks
     # ------------------------------------------------------------------
-    def _append(self, record: dict) -> None:
-        with self._lock:
-            if self._wal is None:
-                raise OperationalError(
-                    f"persistent database at {self.path} is closed"
-                )
-            self._wal.append(record)
-
     @staticmethod
     def _counter_fields(seq: int) -> dict:
         # Every record carries the counter high-water at append time, so
@@ -378,15 +430,24 @@ class PersistentStore:
             "row_id": mvcc.current_row_id(),
         }
 
+    def _log(self, record: dict, seq: Optional[int] = None) -> None:
+        """Stamp *record* (with *seq*, or the next one: DDL is its own
+        commit) and append it to the write-ahead log."""
+        record.update(
+            self._counter_fields(mvcc.next_commit_seq() if seq is None else seq)
+        )
+        with self._lock:
+            if self._wal is None:
+                raise OperationalError(
+                    f"persistent database at {self.path} is closed"
+                )
+            self._wal.append(record)
+
     def _on_commit(self, seq: int, changes: list["mvcc.CommitChange"]) -> None:
         """The manager's pre-install hook: one WAL record per commit,
         durable before any table state changes."""
-        tables: dict[str, dict] = {}
-        for change in changes:
-            tables[change.table.name] = self._delta_for(change)
-        record = {"kind": "commit", "tables": tables}
-        record.update(self._counter_fields(seq))
-        self._append(record)
+        tables = {change.table.name: self._delta_for(change) for change in changes}
+        self._log({"kind": "commit", "tables": tables}, seq)
 
     def _delta_for(self, change: "mvcc.CommitChange") -> dict:
         delta: dict = {"version": change.version}
@@ -398,7 +459,7 @@ class PersistentStore:
             delta["matview"] = {
                 "remove": list(wal_delta["remove"]),
                 "insert_at": [
-                    [index, rid, [to_jsonsafe_value(v) for v in row]]
+                    [index, rid, _encode_row(row)]
                     for index, rid, row in wal_delta["insert_at"]
                 ],
                 "base_versions": dict(wal_delta.get("base_versions", {})),
@@ -408,16 +469,14 @@ class PersistentStore:
             # Whole-table writes (TRUNCATE) have no meaningful row
             # delta: log the full replacement state.
             delta["state"] = {
-                "rows": _encode_rows(change.rows),
+                "rows": [_encode_row(row) for row in change.rows],
                 "ids": list(change.ids),
             }
             return delta
         deleted, updated, inserted = change.resolve()
         for key, pairs in (("insert", inserted), ("update", updated)):
             if pairs:
-                delta[key] = [
-                    [rid, [to_jsonsafe_value(v) for v in row]] for rid, row in pairs
-                ]
+                delta[key] = [[rid, _encode_row(row)] for rid, row in pairs]
         if deleted:
             delta["delete"] = deleted
         return delta
@@ -432,85 +491,36 @@ class PersistentStore:
     ) -> None:
         """Non-transactional writes carry no write set; log the full
         replacement state."""
-        record = {
-            "kind": "direct",
-            "table": table.name,
-            "version": version,
-            "rows": _encode_rows(rows),
-            "ids": list(ids),
-        }
-        record.update(self._counter_fields(seq))
-        self._append(record)
+        self._log(_direct_record(table.name, rows, version, ids), seq)
 
     # -- catalog observer (DDL is non-transactional) --------------------
     def on_create_table(self, entry: "TableEntry") -> None:
         entry.table.on_direct_install = self._on_direct_install
-        record = {
-            "kind": "create_table",
-            "name": entry.name,
-            "columns": [[a.name, a.type.value] for a in entry.schema],
-            "provenance": list(entry.provenance_attrs),
-            "version": entry.table._state[1],
-        }
-        record.update(self._counter_fields(mvcc.next_commit_seq()))
-        self._append(record)
+        self._log(_create_table_record(entry))
 
     def on_drop_relation(self, relation: str, name: str) -> None:
-        record = {"kind": "drop", "relation": relation, "name": name}
-        record.update(self._counter_fields(mvcc.next_commit_seq()))
-        self._append(record)
+        self._log({"kind": "drop", "relation": relation, "name": name})
 
     def on_create_view(self, entry: "ViewEntry") -> None:
-        record = {
-            "kind": "create_view",
-            "name": entry.name,
-            "sql": entry.sql,
-            "provenance": list(entry.provenance_attrs),
-        }
-        record.update(self._counter_fields(mvcc.next_commit_seq()))
-        self._append(record)
+        self._log(_create_view_record(entry))
 
-    def on_create_matview(self, entry) -> None:
+    def on_create_matview(self, entry: "MatviewEntry") -> None:
         entry.table.on_direct_install = self._on_direct_install
-        record = {
-            "kind": "create_matview",
-            "name": entry.name,
-            "sql": entry.sql,
-            "with_provenance": entry.with_provenance,
-            "columns": [[a.name, a.type.value] for a in entry.schema],
-            "provenance": list(entry.provenance_attrs),
-            "version": entry.table._state[1],
-        }
-        record.update(self._counter_fields(mvcc.next_commit_seq()))
-        self._append(record)
+        self._log(_create_matview_record(entry))
 
     def on_matview_stale(self, name: str) -> None:
-        record = {"kind": "matview_stale", "name": name}
-        record.update(self._counter_fields(mvcc.next_commit_seq()))
-        self._append(record)
+        self._log(_matview_stale_record(name))
 
     def on_matview_fresh(self, name: str) -> None:
         # Fired after CREATE and REFRESH, when the entry's maintenance
         # bookkeeping is final — recording it lets recovery trust the
         # replayed contents without a recompute on first read.
         database = self._database
-        if database is None:
-            return
-        entry = database.catalog.matview(name)
-        record = {
-            "kind": "matview_fresh",
-            "name": name,
-            "delta_safe": entry.delta_safe,
-            "base_tables": list(entry.base_tables),
-            "base_versions": dict(entry.base_versions),
-        }
-        record.update(self._counter_fields(mvcc.next_commit_seq()))
-        self._append(record)
+        if database is not None:
+            self._log(_matview_fresh_record(database.catalog.matview(name)))
 
     def on_register_provenance(self, name: str, attrs: tuple[str, ...]) -> None:
-        record = {"kind": "provenance", "name": name, "attrs": list(attrs)}
-        record.update(self._counter_fields(mvcc.next_commit_seq()))
-        self._append(record)
+        self._log({"kind": "provenance", "name": name, "attrs": list(attrs)})
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -524,11 +534,11 @@ class PersistentStore:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Rewrite the snapshot at the current committed state and
-        rotate the log. Crash-safe at every step: heap files are
-        generation-numbered (never overwritten while referenced), the
-        manifest swaps in atomically, and the WAL resets only after the
-        new manifest is durable."""
+        """Restate the current committed state as ``snapshot.log`` and
+        rotate the log. Crash-safe at every step: the new snapshot swaps
+        in atomically, and the WAL resets only after it is durable (a
+        crash in between replays nothing twice — every logged seq is at
+        or below the new checkpoint's)."""
         database = self._database
         if database is None:
             raise OperationalError("persistent store is not attached")
@@ -539,105 +549,24 @@ class PersistentStore:
                 raise OperationalError(
                     f"persistent database at {self.path} is closed"
                 )
-            generation = self._generation + 1
             seq = mvcc.current_commit_seq()
-            tables = []
-            for index, entry in enumerate(database.catalog.tables):
-                rows, version, ids = entry.table._state
-                heap_rel = os.path.join(
-                    HEAP_DIR, f"g{generation:08d}-t{index:04d}.heap"
-                )
-                heap_data = json.dumps(
-                    {"rows": _encode_rows(rows), "ids": list(ids)},
-                    separators=(",", ":"),
-                    allow_nan=False,
-                ).encode("utf-8")
-                _write_atomically(os.path.join(self.path, heap_rel), heap_data)
-                tables.append(
-                    {
-                        "name": entry.name,
-                        "columns": [[a.name, a.type.value] for a in entry.schema],
-                        "provenance": list(entry.provenance_attrs),
-                        "version": version,
-                        "heap": heap_rel,
-                    }
-                )
-            matviews = []
-            for index, entry in enumerate(database.catalog.matviews):
-                rows, version, ids = entry.table._state
-                heap_rel = os.path.join(
-                    HEAP_DIR, f"g{generation:08d}-m{index:04d}.heap"
-                )
-                heap_data = json.dumps(
-                    {"rows": _encode_rows(rows), "ids": list(ids)},
-                    separators=(",", ":"),
-                    allow_nan=False,
-                ).encode("utf-8")
-                _write_atomically(os.path.join(self.path, heap_rel), heap_data)
-                matviews.append(
-                    {
-                        "name": entry.name,
-                        "sql": entry.sql,
-                        "with_provenance": entry.with_provenance,
-                        "columns": [[a.name, a.type.value] for a in entry.schema],
-                        "provenance": list(entry.provenance_attrs),
-                        "version": version,
-                        "heap": heap_rel,
-                        "stale": entry.stale,
-                        "delta_safe": entry.delta_safe,
-                        "base_tables": list(entry.base_tables),
-                        "base_versions": dict(entry.base_versions),
-                    }
-                )
-            manifest = {
+            header = {
+                "kind": "checkpoint",
                 "format": FORMAT_VERSION,
-                "generation": generation,
-                "checkpoint_seq": seq,
                 "catalog_version": database.catalog.version,
-                "counters": {
-                    "stamp": mvcc.current_stamp(),
-                    "commit_seq": seq,
-                    "row_id": mvcc.current_row_id(),
-                },
-                "tables": tables,
-                "matviews": matviews,
-                "views": [
-                    {
-                        "name": view.name,
-                        "sql": view.sql,
-                        "provenance": list(view.provenance_attrs),
-                    }
-                    for view in database.catalog.views
-                ],
             }
+            header.update(self._counter_fields(seq))
+            # The header also closes the file, so a snapshot cut at a
+            # frame boundary is as detectable as one cut inside a frame.
+            records = chain([header], _snapshot_records(database.catalog), [header])
             _write_atomically(
-                os.path.join(self.path, MANIFEST_NAME),
-                json.dumps(manifest, separators=(",", ":"), allow_nan=False).encode(
-                    "utf-8"
-                ),
+                os.path.join(self.path, SNAPSHOT_NAME), map(encode_record, records)
             )
             # The snapshot now covers every logged record (their seqs
             # are all <= checkpoint_seq): the log can restart empty.
             self._wal.reset()
-            self._generation = generation
             self.checkpoint_count += 1
             self.last_checkpoint_seq = seq
-            self._prune_heap_files(
-                {spec["heap"] for spec in tables}
-                | {spec["heap"] for spec in matviews}
-            )
-
-    def _prune_heap_files(self, referenced: set) -> None:
-        """Drop heap files no manifest references anymore (best-effort:
-        a crash here just leaves garbage for the next checkpoint)."""
-        heap_dir = os.path.join(self.path, HEAP_DIR)
-        keep = {os.path.basename(path) for path in referenced}
-        for name in os.listdir(heap_dir):
-            if name not in keep:
-                try:
-                    os.unlink(os.path.join(heap_dir, name))
-                except OSError:  # pragma: no cover - concurrent cleanup
-                    pass
 
     # ------------------------------------------------------------------
     # Stats / lifecycle

@@ -359,12 +359,6 @@ class Relation:
         self.rows: list[Row] = list(rows)
         self.provenance_attrs: tuple[str, ...] = tuple(provenance_attrs)
 
-    @property
-    def row_ids(self) -> list[int]:
-        """Hidden row identities of :attr:`rows`, in the same order
-        (read-only, like :attr:`rows`)."""
-        return self._visible_pair()[1]
-
     def __len__(self) -> int:
         return len(self.rows)
 

@@ -9,9 +9,11 @@ record is framed as::
 The trailing one-byte commit marker plus the CRC make torn writes
 detectable at any byte offset: a record is *durable* iff its full frame
 is present, its marker matches and its payload checksums. Recovery
-(:func:`read_records`) walks the file from the start and stops at the
-first incomplete or corrupt frame — everything before it is the durable
-committed prefix, everything after it is a torn tail to truncate.
+(:func:`read_records`) walks the file frame by frame from the start and
+stops at the first incomplete or corrupt one — everything before it is
+the durable committed prefix, everything after it is a torn tail to
+truncate. The checkpoint (``snapshot.log``, :mod:`repro.storage.persist`)
+is written and read in the same frames.
 
 Three durability modes trade safety for commit latency:
 
@@ -32,7 +34,7 @@ import os
 import struct
 import threading
 import zlib
-from typing import Optional
+from typing import Iterator, Optional
 
 from ..errors import OperationalError
 
@@ -53,37 +55,33 @@ def encode_record(record: dict) -> bytes:
     )
 
 
-def read_records(path: str) -> tuple[list[dict], int, int]:
-    """Parse the durable prefix of the log at *path*.
+def read_records(path: str) -> Iterator[tuple[dict, int]]:
+    """Iterate the durable prefix of the log at *path*.
 
-    Returns ``(records, durable_length, total_length)``: every complete,
-    CRC-valid, marker-fenced record in append order, the byte offset the
-    durable prefix ends at, and the file's total length. A torn tail
-    (``durable_length < total_length``) is the caller's to truncate.
+    Yields ``(record, end_offset)`` for every complete, CRC-valid,
+    marker-fenced record in append order, reading one frame at a time
+    (recovery never holds more than the record it is replaying). The
+    last ``end_offset`` — 0 if nothing was yielded — is where the durable
+    prefix ends; a file longer than that has a torn tail, the caller's
+    to truncate.
     """
     with open(path, "rb") as handle:
-        data = handle.read()
-    records: list[dict] = []
-    offset = 0
-    while True:
-        if offset + FRAME_HEADER_SIZE > len(data):
-            break
-        length, crc = _FRAME.unpack_from(data, offset)
-        end = offset + FRAME_HEADER_SIZE + length + len(COMMIT_MARKER)
-        if end > len(data):
-            break
-        payload = data[offset + FRAME_HEADER_SIZE : end - 1]
-        if data[end - 1 : end] != COMMIT_MARKER or zlib.crc32(payload) != crc:
-            break
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            break
-        if not isinstance(record, dict):
-            break
-        records.append(record)
-        offset = end
-    return records, offset, len(data)
+        while True:
+            header = handle.read(FRAME_HEADER_SIZE)
+            if len(header) < FRAME_HEADER_SIZE:
+                return
+            length, crc = _FRAME.unpack(header)
+            body = handle.read(length + len(COMMIT_MARKER))
+            payload = body[:length]
+            if body[length:] != COMMIT_MARKER or zlib.crc32(payload) != crc:
+                return
+            try:
+                record = json.loads(payload.decode("utf-8"))
+            except (UnicodeDecodeError, ValueError):
+                return
+            if not isinstance(record, dict):
+                return
+            yield record, handle.tell()
 
 
 def truncate_log(path: str, length: int) -> None:

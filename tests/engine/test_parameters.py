@@ -199,6 +199,36 @@ class TestTypeChecking:
         with pytest.raises(TypeCheckError, match="expects int"):
             conn.execute("SELECT a FROM r WHERE ? IN (SELECT a FROM s)", ("x",))
 
+    @pytest.mark.parametrize("engine", ["row", "vectorized", "sqlite"])
+    @pytest.mark.parametrize("value, got", [("zz", "text"), (True, "bool")])
+    @pytest.mark.parametrize(
+        "item, params",
+        [
+            ("coalesce(?, 1)", lambda v: (v,)),
+            ("coalesce(:p, 1)", lambda v: {"p": v}),
+            ("nullif(?, 5)", lambda v: (v,)),
+            ("greatest(a, ?)", lambda v: (v,)),
+            ("CASE WHEN a = 1 THEN ? ELSE 1 END", lambda v: (v,)),
+            ("CASE WHEN a = 9 THEN 1 ELSE :p END", lambda v: {"p": v}),
+        ],
+    )
+    def test_slot_typed_from_sibling_arguments_on_every_engine(
+        self, engine, value, got, item, params
+    ):
+        """A parameter inside a type-unifying scalar or a CASE result
+        takes its siblings' type, so a mistyped value fails at bind time
+        with one error — not ExecutionError on one engine, a leaked
+        TypeError on another and the answer 2 on a third."""
+        connection = connect(engine=engine)
+        connection.execute("CREATE TABLE t (a int); INSERT INTO t VALUES (1)")
+        sql = f"SELECT x + 1 FROM (SELECT {item} AS x FROM t) q"
+        label = ":p" if ":p" in item else r"\$1"
+        with pytest.raises(
+            TypeCheckError, match=rf"parameter {label} expects int, got {got} \({value!r}\)"
+        ):
+            connection.execute(sql, params(value))
+        assert connection.execute(sql, params(6)).fetchall() == [(7,)]
+
 
 class TestDMLParameters:
     def test_parameterized_insert(self, conn):

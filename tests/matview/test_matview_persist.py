@@ -3,8 +3,9 @@
 A restart must recover each matview's stored rows (in order), its
 freshness bookkeeping (so a fresh view is served without a recompute),
 and its staleness (so a stale view still recomputes on first read) —
-whether the state comes from pure WAL replay or from a checkpointed
-heap plus the log tail.
+whether the state comes from pure WAL replay, from a checkpoint, or
+from a checkpoint plus the log tail — and with it the rest of the
+catalog, field for field.
 """
 
 from __future__ import annotations
@@ -21,7 +22,35 @@ _SETUP = (
     "SELECT id, grp FROM item WHERE qty > 1",
     "CREATE MATERIALIZED VIEW tot AS "
     "SELECT grp, sum(qty) AS total FROM item GROUP BY grp",
+    "CREATE VIEW heavy AS SELECT id FROM item WHERE qty > 4",
+    "CREATE TABLE kept AS SELECT PROVENANCE id, qty FROM item WHERE qty > 2",
 )
+
+
+def _describe(db) -> dict:
+    """Everything durable about the catalog: each relation's definition,
+    provenance registration, heap state (rows, stamp, row ids) and, for
+    materialized views, the maintenance bookkeeping."""
+    catalog = db.catalog
+    described = {}
+    for entry in catalog.tables + catalog.matviews:
+        described[entry.name] = {
+            "columns": [(a.name, a.type) for a in entry.schema],
+            "provenance": entry.provenance_attrs,
+            "state": entry.table._state,
+        }
+    for entry in catalog.views:
+        described[entry.name] = {"sql": entry.sql, "provenance": entry.provenance_attrs}
+    for entry in catalog.matviews:
+        described[entry.name].update(
+            sql=entry.sql,
+            with_provenance=entry.with_provenance,
+            stale=entry.stale,
+            delta_safe=entry.delta_safe,
+            base_tables=entry.base_tables,
+            base_versions=entry.base_versions,
+        )
+    return described
 
 
 def _unfolded(conn, name):
@@ -33,21 +62,29 @@ def _unfolded(conn, name):
     return conn.run(defs[name]).rows
 
 
-@pytest.mark.parametrize("checkpoint", (False, True), ids=("wal", "checkpoint"))
-def test_matviews_survive_restart(tmp_path, checkpoint):
+@pytest.mark.parametrize("mode", ("wal", "checkpoint", "checkpoint+tail"))
+def test_matviews_survive_restart(tmp_path, mode):
     d = str(tmp_path / "db")
     with Database(path=d) as db:
         conn = db.connect()
         for sql in _SETUP:
             conn.run(sql)
+        if mode == "checkpoint+tail":
+            conn.run("CHECKPOINT")
         conn.run("INSERT INTO item VALUES (5, 'b', 7)")  # incremental delta
         expected = {
             name: conn.run(f"SELECT * FROM {name}").rows
             for name in ("busy", "pv")
         }
-        if checkpoint:
+        if mode == "checkpoint":
             conn.run("CHECKPOINT")
+        described, version = _describe(db), db.catalog.version
+        assert described["kept"]["provenance"] and described["tot"]["stale"]
     with Database(path=d) as db:
+        assert _describe(db) == described
+        if mode == "checkpoint":
+            assert db.catalog.version == version
+            assert db.wal_stats()["records_replayed"] == 0
         conn = db.connect()
         stats = db.matview_stats()["views"]
         # The delta-maintained views recovered fresh; the aggregate was

@@ -70,6 +70,22 @@ def expected_state(seed: int, upto: int) -> dict[int, int]:
     return state
 
 
+def commit_txn(conn, seed: int, k: int) -> None:
+    """Run transaction *k* of the plan on *conn* and commit it."""
+    ids = [row[0] for row in conn.run("SELECT id FROM t ORDER BY id").rows]
+    updates, deletes, inserts = plan_txn(ids, seed, k)
+    cursor = conn.cursor()
+    conn.run("BEGIN")
+    for rid, delta in updates:
+        cursor.execute("UPDATE t SET val = val + ? WHERE id = ?", (delta, rid))
+    for rid in deletes:
+        cursor.execute("DELETE FROM t WHERE id = ?", (rid,))
+    for rid, value in inserts:
+        cursor.execute("INSERT INTO t VALUES (?, ?)", (rid, value))
+    cursor.execute("INSERT INTO progress VALUES (?)", (k,))
+    conn.run("COMMIT")
+
+
 # ---------------------------------------------------------------------------
 # Parent-side helpers
 # ---------------------------------------------------------------------------
@@ -198,19 +214,8 @@ def writer_main(argv: list[str]) -> int:
     if not db.catalog.has_table("t"):
         conn.run("CREATE TABLE t (id int, val int)")
         conn.run("CREATE TABLE progress (k int)")
-    cursor = conn.cursor()
     for k in range(start, start + count):
-        ids = [row[0] for row in conn.run("SELECT id FROM t ORDER BY id").rows]
-        updates, deletes, inserts = plan_txn(ids, seed, k)
-        conn.run("BEGIN")
-        for rid, delta in updates:
-            cursor.execute("UPDATE t SET val = val + ? WHERE id = ?", (delta, rid))
-        for rid in deletes:
-            cursor.execute("DELETE FROM t WHERE id = ?", (rid,))
-        for rid, value in inserts:
-            cursor.execute("INSERT INTO t VALUES (?, ?)", (rid, value))
-        cursor.execute("INSERT INTO progress VALUES (?)", (k,))
-        conn.run("COMMIT")
+        commit_txn(conn, seed, k)
         print(f"C {k} {mvcc.current_stamp()}", flush=True)
     db.close()
     print("DONE", flush=True)

@@ -4,16 +4,19 @@ nobody walks the superseded table state to find out.
 The fuzzed agreement checks (change record vs new state, WAL record,
 maintainer delta, ``changes_since``) live beside the mirror fuzzer in
 ``tests/backend/test_mirror_sync.py``; this file holds the cost side,
-and what the maintainer's cached state does when the log write fails.
+what the maintainer's cached state does when the log write fails, and
+the round trip between the record's producer and its one applier.
 """
 
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
 from repro.engine.database import Database
+from repro.storage.mvcc import apply_change, resolve_write_set
 from repro.storage.persist import WAL_NAME
 from repro.storage.wal import read_records
 
@@ -61,9 +64,10 @@ def test_small_commit_never_iterates_the_previous_state(size: int, tmp_path):
             "SELECT t.id, t.val, d.label FROM t JOIN d ON d.grp = t.grp"
         ).fetchall()
         rid = heap.row_ids[7]
-    records, durable, total = read_records(os.path.join(path, WAL_NAME))
-    assert durable == total
-    tables = records[-1]["tables"]
+    wal_path = os.path.join(path, WAL_NAME)
+    record, durable = list(read_records(wal_path))[-1]
+    assert durable == os.path.getsize(wal_path)
+    tables = record["tables"]
     assert tables["t"] == {"version": tables["t"]["version"], "update": [[rid, [7, 3, -1]]]}
     assert len(tables["mv"]["matview"]["remove"]) == 1
     assert [row for _, _, row in tables["mv"]["matview"]["insert_at"]] == [[7, -1, "g3"]]
@@ -101,3 +105,31 @@ def test_failed_wal_append_leaves_no_phantom_row_in_the_maintainer(tmp_path):
         assert conn.execute("SELECT * FROM mv").fetchall() == [
             (1, "one"), (2, "two"), (3, "one"), (5, "two"),
         ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_apply_change_inverts_resolve_write_set(seed: int):
+    """For any write a transaction can make — update, delete, append,
+    and appended rows it then rewrites or deletes again —
+    ``apply_change(previous, *resolve_write_set(write set, new)) == new``,
+    without touching the previous state."""
+    rng = random.Random(seed)
+    size = rng.randrange(0, 30)
+    prev_ids = sorted(rng.sample(range(1, 200), size))
+    prev_rows = [(rid, rng.randrange(100)) for rid in prev_ids]
+    appended = list(range(200, 200 + rng.randrange(0, 6)))
+    written, new_rows, new_ids = set(), [], []
+    for rid, row in zip(prev_ids + appended, prev_rows + [(rid, 0) for rid in appended]):
+        fate = rng.random()
+        if fate < 0.2:
+            written.add(rid)  # deleted
+            continue
+        if fate < 0.45:
+            written.add(rid)
+            row = (rid, -row[1] - 1)  # updated
+        new_rows.append(row)
+        new_ids.append(rid)
+    before = (list(prev_rows), list(prev_ids))
+    change = resolve_write_set(written, appended, new_rows, new_ids)
+    assert apply_change(prev_rows, prev_ids, *change) == (new_rows, new_ids)
+    assert (prev_rows, prev_ids) == before

@@ -13,7 +13,11 @@ committed prefix.** Three attack surfaces cover it:
   acknowledged fsync-durable commit present;
 * a recover→write→crash loop asserting replay idempotence: version
   stamps stay monotone across restarts and no committed transaction is
-  ever applied twice.
+  ever applied twice;
+* the checkpoint's own windows — a crash after ``snapshot.log`` is
+  renamed but before ``wal.log`` resets, a leftover temp file, and
+  snapshots recovery must refuse rather than half-load (damaged, cut at
+  a frame boundary, another format, a format-1 directory).
 
 ``REPRO_CRASH_SEEDS`` widens the seed bank (the CI crash-recovery job
 runs more); failures dump the data directory under
@@ -22,7 +26,6 @@ runs more); failures dump the data directory under
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import shutil
@@ -30,6 +33,7 @@ import shutil
 import pytest
 
 from crashharness import (
+    commit_txn,
     expected_state,
     kill_after_acks,
     read_recovered,
@@ -40,7 +44,7 @@ from crashharness import (
 from repro.engine.database import Database
 from repro.errors import OperationalError
 from repro.storage import wal as wal_mod
-from repro.storage.persist import MANIFEST_NAME, WAL_NAME
+from repro.storage.persist import SNAPSHOT_NAME, WAL_NAME
 
 CRASH_SEEDS = int(os.environ.get("REPRO_CRASH_SEEDS", "4"))
 TIER1_CRASH_SEEDS = 4
@@ -56,6 +60,18 @@ def _wal_path(data_dir) -> str:
     return os.path.join(data_dir, WAL_NAME)
 
 
+def _read_log(path) -> tuple[list[dict], int, int]:
+    """``(records, durable length, file length)`` of the log at *path*."""
+    frames = list(wal_mod.read_records(path))
+    durable = frames[-1][1] if frames else 0
+    return [record for record, _ in frames], durable, os.path.getsize(path)
+
+
+def _create_oracle_tables(conn) -> None:
+    conn.run("CREATE TABLE t (id int, val int)")
+    conn.run("CREATE TABLE progress (k int)")
+
+
 # ---------------------------------------------------------------------------
 # WAL framing unit tests
 # ---------------------------------------------------------------------------
@@ -68,7 +84,7 @@ class TestWalFraming:
         log.append({"seq": 1, "x": "a"})
         log.append({"seq": 2, "x": "b"})
         log.close()
-        records, durable, total = wal_mod.read_records(path)
+        records, durable, total = _read_log(path)
         assert [r["seq"] for r in records] == [1, 2]
         assert durable == total
 
@@ -87,7 +103,7 @@ class TestWalFraming:
             torn = str(tmp_path / "torn.log")
             with open(torn, "wb") as handle:
                 handle.write(full[:cut])
-            records, durable, total = wal_mod.read_records(torn)
+            records, durable, total = _read_log(torn)
             survivors = [end for end in ends if end <= cut]
             assert [r["seq"] for r in records] == list(
                 range(1, len(survivors) + 1)
@@ -106,7 +122,7 @@ class TestWalFraming:
             byte = handle.read(1)
             handle.seek(first_end + wal_mod.FRAME_HEADER_SIZE + 2)
             handle.write(bytes([byte[0] ^ 0xFF]))
-        records, durable, _ = wal_mod.read_records(path)
+        records, durable, _ = _read_log(path)
         assert [r["seq"] for r in records] == [1]
         assert durable == first_end
 
@@ -117,7 +133,7 @@ class TestWalFraming:
         log.reset()
         log.append({"seq": 9})
         log.close()
-        records, _, _ = wal_mod.read_records(path)
+        records, _, _ = _read_log(path)
         assert [r["seq"] for r in records] == [9]
 
     def test_unknown_durability_mode_refused(self, tmp_path):
@@ -257,22 +273,9 @@ class TestPersistence:
         seed = 11
         with Database(path=d) as db:
             conn = db.connect()
-            conn.run("CREATE TABLE t (id int, val int)")
-            conn.run("CREATE TABLE progress (k int)")
-            from crashharness import plan_txn
-
+            _create_oracle_tables(conn)
             for k in range(1, 9):
-                ids = [r[0] for r in conn.run("SELECT id FROM t ORDER BY id").rows]
-                updates, deletes, inserts = plan_txn(ids, seed, k)
-                conn.run("BEGIN")
-                for rid, delta in updates:
-                    conn.run(f"UPDATE t SET val = val + {delta} WHERE id = {rid}")
-                for rid in deletes:
-                    conn.run(f"DELETE FROM t WHERE id = {rid}")
-                for rid, value in inserts:
-                    conn.run(f"INSERT INTO t VALUES ({rid}, {value})")
-                conn.run(f"INSERT INTO progress VALUES ({k})")
-                conn.run("COMMIT")
+                commit_txn(conn, seed, k)
         with Database(path=d) as db:
             results = [
                 db.connect(engine=engine).run("SELECT id, val FROM t ORDER BY id").rows
@@ -299,22 +302,9 @@ class TestTruncationMatrix:
         commit_ends = []
         with Database(path=d) as db:
             conn = db.connect()
-            conn.run("CREATE TABLE t (id int, val int)")
-            conn.run("CREATE TABLE progress (k int)")
-            from crashharness import plan_txn
-
+            _create_oracle_tables(conn)
             for k in range(1, 13):
-                ids = [r[0] for r in conn.run("SELECT id FROM t ORDER BY id").rows]
-                updates, deletes, inserts = plan_txn(ids, seed, k)
-                conn.run("BEGIN")
-                for rid, delta in updates:
-                    conn.run(f"UPDATE t SET val = val + {delta} WHERE id = {rid}")
-                for rid in deletes:
-                    conn.run(f"DELETE FROM t WHERE id = {rid}")
-                for rid, value in inserts:
-                    conn.run(f"INSERT INTO t VALUES ({rid}, {value})")
-                conn.run(f"INSERT INTO progress VALUES ({k})")
-                conn.run("COMMIT")
+                commit_txn(conn, seed, k)
                 commit_ends.append(db.wal_stats()["wal_bytes"])
         total = os.path.getsize(_wal_path(d))
         assert commit_ends[-1] == total
@@ -483,16 +473,138 @@ class TestReplayIdempotence:
             with open(_wal_path(d), "rb") as handle:
                 assert handle.read() == wal_before
 
-    def test_manifest_is_atomic_under_checkpoint_crash(self, tmp_path):
-        """A leftover MANIFEST.json.tmp (simulating a crash mid-
-        checkpoint) must not confuse recovery: the previous manifest or
-        none at all governs."""
+
+# ---------------------------------------------------------------------------
+# The checkpoint's own windows
+# ---------------------------------------------------------------------------
+
+
+def _snapshot_path(data_dir) -> str:
+    return os.path.join(data_dir, SNAPSHOT_NAME)
+
+
+def _checkpointed(path, seed: int, commits: int) -> None:
+    """A directory holding *commits* oracle transactions, checkpointed."""
+    with Database(path=path) as db:
+        conn = db.connect()
+        _create_oracle_tables(conn)
+        for k in range(1, commits + 1):
+            commit_txn(conn, seed, k)
+        conn.run("CHECKPOINT")
+
+
+class TestCheckpointWindows:
+    @pytest.mark.parametrize("seed", _seed_params())
+    def test_crash_between_snapshot_rename_and_log_reset(self, tmp_path, seed):
+        """The new snapshot is in place but the old log was never
+        emptied: every logged commit is already inside the snapshot, so
+        nothing replays — and nothing applies twice."""
         d = str(tmp_path / "db")
         with Database(path=d) as db:
             conn = db.connect()
-            conn.run("CREATE TABLE t (x int)")
-            conn.run("INSERT INTO t VALUES (7)")
-        with open(os.path.join(d, MANIFEST_NAME + ".tmp"), "w") as handle:
-            json.dump({"format": 99, "garbage": True}, handle)
+            _create_oracle_tables(conn)
+            for k in range(1, 9):
+                commit_txn(conn, seed, k)
+            shutil.copy(_wal_path(d), str(tmp_path / "old.log"))
+            conn.run("CHECKPOINT")
+        assert os.path.getsize(_wal_path(d)) == 0
+        shutil.copy(str(tmp_path / "old.log"), _wal_path(d))
+        count, state, db = read_recovered(d)
+        try:
+            assert (count, state) == (8, expected_state(seed, 8))
+            assert db.wal_stats()["records_replayed"] == 0
+            # Life goes on past the stale log: new commits land after it
+            # and are the only records the next recovery replays.
+            conn = db.connect()
+            for k in range(9, 12):
+                commit_txn(conn, seed, k)
+        finally:
+            db.close()
+        count, state, db = read_recovered(d)
+        try:
+            assert (count, state) == (11, expected_state(seed, 11))
+            assert db.wal_stats()["records_replayed"] == 3
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("leftover", ["garbage", "half-written"])
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_leftover_temp_snapshot_is_ignored_and_removed(
+        self, tmp_path, leftover, checkpointed
+    ):
+        """A crash mid-checkpoint leaves ``snapshot.log.tmp`` behind; the
+        previous snapshot (or none at all) plus the log governs."""
+        d = str(tmp_path / "db")
         with Database(path=d) as db:
-            assert db.connect().run("SELECT x FROM t").rows == [(7,)]
+            conn = db.connect()
+            _create_oracle_tables(conn)
+            for k in range(1, 5):
+                commit_txn(conn, 7, k)
+            if checkpointed:
+                conn.run("CHECKPOINT")
+            commit_txn(conn, 7, 5)
+        scratch = str(tmp_path / "scratch")
+        _checkpointed(scratch, 8, 3)  # a different, plausible snapshot
+        with open(_snapshot_path(scratch), "rb") as handle:
+            other = handle.read()
+        tmp = _snapshot_path(d) + ".tmp"
+        with open(tmp, "wb") as handle:
+            handle.write(b"\x00not a log" if leftover == "garbage" else other[: len(other) // 2])
+        assert verify_recovered(d, 7, context=f"{leftover} temp snapshot") == 5
+        assert not os.path.exists(tmp)
+
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            ("bit-flip", "torn or corrupt"),
+            ("cut-at-frame-boundary", "torn or corrupt"),
+            ("cut-mid-frame", "torn or corrupt"),
+            ("other-format", "unsupported data-directory format 3"),
+            ("headerless", "does not start with a checkpoint header"),
+            ("format-1", "format-1 data directory"),
+        ],
+    )
+    def test_damaged_or_foreign_snapshot_is_refused(self, tmp_path, damage, reason):
+        """A snapshot is all-or-nothing: recovery names what is wrong
+        instead of opening whatever prefix it could read."""
+        d = str(tmp_path / "db")
+        _checkpointed(d, 5, 6)
+        path = _snapshot_path(d)
+        frames = list(wal_mod.read_records(path))
+        records = [record for record, _ in frames]
+        ends = [end for _, end in frames]
+        if damage == "bit-flip":
+            with open(path, "r+b") as handle:
+                handle.seek(ends[1] + wal_mod.FRAME_HEADER_SIZE + 4)
+                byte = handle.read(1)
+                handle.seek(-1, os.SEEK_CUR)
+                handle.write(bytes([byte[0] ^ 0x40]))
+        elif damage == "cut-at-frame-boundary":
+            wal_mod.truncate_log(path, ends[-2])  # closing header gone
+        elif damage == "cut-mid-frame":
+            wal_mod.truncate_log(path, ends[-1] - 3)
+        elif damage == "other-format":
+            records[0] = records[-1] = dict(records[0], format=3)
+        elif damage == "headerless":
+            del records[0]
+        else:
+            with open(os.path.join(d, "MANIFEST.json"), "w") as handle:
+                handle.write('{"format": 1}')
+        if damage in ("other-format", "headerless"):
+            with open(path, "wb") as handle:
+                handle.write(b"".join(map(wal_mod.encode_record, records)))
+        with pytest.raises(OperationalError, match=reason):
+            Database(path=d)
+
+    def test_never_checkpointed_directory_needs_no_snapshot(self, tmp_path):
+        """No ``snapshot.log`` at all is a valid directory (the log alone
+        rebuilds it), also one created before snapshots were logs."""
+        d = str(tmp_path / "db")
+        with Database(path=d) as db:
+            conn = db.connect()
+            _create_oracle_tables(conn)
+            for k in range(1, 4):
+                commit_txn(conn, 2, k)
+        os.makedirs(os.path.join(d, "heap"))  # what format 1 left behind
+        assert not os.path.exists(_snapshot_path(d))
+        assert verify_recovered(d, 2, context="log-only directory") == 3
