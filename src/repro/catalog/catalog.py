@@ -85,7 +85,9 @@ class MatviewEntry(TableEntry):
     ``base_versions`` maps each base table to the heap version stamp the
     stored rows were computed from, and ``source_ids`` holds, per stored
     row, the tuple of contributing base-row ids per leaf of the rewritten
-    plan (``None`` when the shape is not delta-safe).
+    plan (``None`` when the shape is not delta-safe). The list is
+    sorted: base-table row ids ascend, so source-id order is the stored
+    rows' order, and the tuple is the maintainer's only key.
     """
 
     query: "ast.QueryExpr" = None  # type: ignore[assignment]

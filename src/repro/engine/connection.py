@@ -50,7 +50,7 @@ from ..sql import ast
 from ..sql.printer import format_query, format_statement
 from ..storage import mvcc
 from ..storage.table import Relation
-from .cursor import Cursor, _status_rowcount
+from .cursor import Cursor
 from .database import Database
 from .matview import base_table_names, compile_program
 from .pipeline import Pipeline, PlanCache, PreparedPlan, bind_parameters
@@ -530,8 +530,7 @@ class Connection:
             return self._execute_explain(statement), -1
         values = bind_parameters(ast.statement_parameters(statement), params)
         self.pipeline.params.bind(values)
-        relation = self._execute_statement(statement)
-        return relation, _status_rowcount(relation)
+        return self._execute_statement(statement)
 
     def _prepared_for(
         self, statement: ast.QueryStatement, sql: str = ""
@@ -707,29 +706,29 @@ class Connection:
     def _analyzer(self) -> Analyzer:
         return self.pipeline.analyzer()
 
-    def _execute_statement(self, statement: ast.Statement) -> Relation:
+    def _execute_statement(self, statement: ast.Statement) -> tuple[Relation, int]:
+        """The status relation and the affected-row count (DML), or -1
+        where there is none (DDL: DB-API's 'undetermined')."""
         # QueryStatement and Explain never reach here: _run_statement
         # dispatches them to the cached-plan / explain paths first.
-        if isinstance(statement, ast.CreateTable):
-            return self._execute_create_table(statement)
-        if isinstance(statement, ast.CreateTableAs):
-            return self._execute_create_table_as(statement)
-        if isinstance(statement, ast.CreateView):
-            return self._execute_create_view(statement)
-        if isinstance(statement, ast.CreateMaterializedView):
-            return self._execute_create_matview(statement)
-        if isinstance(statement, ast.RefreshMaterializedView):
-            return self._execute_refresh_matview(statement)
-        if isinstance(statement, ast.DropRelation):
-            return self._execute_drop(statement)
         if isinstance(statement, ast.Insert):
             return self._execute_insert(statement)
         if isinstance(statement, ast.Delete):
             return self._execute_delete(statement)
         if isinstance(statement, ast.Update):
             return self._execute_update(statement)
-        if isinstance(statement, ast.Explain):
-            return self._execute_explain(statement)
+        if isinstance(statement, ast.CreateTable):
+            return self._execute_create_table(statement), -1
+        if isinstance(statement, ast.CreateTableAs):
+            return self._execute_create_table_as(statement), -1
+        if isinstance(statement, ast.CreateView):
+            return self._execute_create_view(statement), -1
+        if isinstance(statement, ast.CreateMaterializedView):
+            return self._execute_create_matview(statement), -1
+        if isinstance(statement, ast.RefreshMaterializedView):
+            return self._execute_refresh_matview(statement), -1
+        if isinstance(statement, ast.DropRelation):
+            return self._execute_drop(statement), -1
         raise PermError(f"unsupported statement {type(statement).__name__}")
 
     def _execute_query(self, query: ast.QueryExpr) -> Relation:
@@ -987,8 +986,9 @@ class Connection:
             )
         return self.catalog.table(name)
 
-    def _execute_insert(self, statement: ast.Insert) -> Relation:
-        return _status(f"INSERT {self._prepare_insert(statement)()}")
+    def _execute_insert(self, statement: ast.Insert) -> tuple[Relation, int]:
+        count = self._prepare_insert(statement)()
+        return _status(f"INSERT {count}"), count
 
     def _prepare_insert(self, statement: ast.Insert) -> Callable[[], int]:
         """Resolve and compile an INSERT once; the returned runner
@@ -1069,12 +1069,12 @@ class Connection:
 
         return compile_plan
 
-    def _execute_delete(self, statement: ast.Delete) -> Relation:
+    def _execute_delete(self, statement: ast.Delete) -> tuple[Relation, int]:
         entry = self._dml_table(statement.table, "DELETE from")
         removed = entry.table.delete_where(self._predicate(entry, statement.where))
-        return _status(f"DELETE {removed}")
+        return _status(f"DELETE {removed}"), removed
 
-    def _execute_update(self, statement: ast.Update) -> Relation:
+    def _execute_update(self, statement: ast.Update) -> tuple[Relation, int]:
         entry = self._dml_table(statement.table, "UPDATE")
         analyzer = self._analyzer()
         compiler = ExprCompiler(
@@ -1095,7 +1095,7 @@ class Connection:
             return new_row
 
         changed = entry.table.update_where(self._predicate(entry, statement.where), updater)
-        return _status(f"UPDATE {changed}")
+        return _status(f"UPDATE {changed}"), changed
 
     def _execute_explain(self, statement: ast.Explain) -> Relation:
         if not isinstance(statement.statement, ast.QueryStatement):

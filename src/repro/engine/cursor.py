@@ -28,18 +28,6 @@ Row = tuple[Value, ...]
 DescriptionRow = tuple[str, SQLType, None, None, None, None, None]
 
 
-def _status_rowcount(relation: "Relation") -> int:
-    """Affected-row count from a DDL/DML status relation ("INSERT 2" ->
-    2); -1 when the status carries no count (DB-API's 'undetermined')."""
-    if len(relation.rows) == 1 and len(relation.rows[0]) == 1:
-        value = relation.rows[0][0]
-        if isinstance(value, str):
-            tail = value.rsplit(" ", 1)[-1]
-            if tail.isdigit():
-                return int(tail)
-    return -1
-
-
 class Cursor:
     """A cursor bound to one :class:`~repro.engine.connection.Connection`."""
 

@@ -111,7 +111,8 @@ class Database:
 
     def matview_stats(self) -> dict:
         """Materialized-view bookkeeping: per-view freshness and size,
-        plus the maintainer's cumulative counters."""
+        plus the maintainer's cumulative counters (``stale_reasons``:
+        why commits could not be maintained, ``stale_marks`` their sum)."""
         maintainer = self.matview_maintainer
         return {
             "views": {
@@ -124,7 +125,8 @@ class Database:
                 for entry in self.catalog.matviews
             },
             "incremental_commits": maintainer.incremental_commits,
-            "stale_marks": maintainer.stale_marks,
+            "stale_marks": sum(maintainer.stale_reasons.values()),
+            "stale_reasons": dict(maintainer.stale_reasons),
             "rows_added": maintainer.rows_added,
             "rows_removed": maintainer.rows_removed,
         }

@@ -25,15 +25,22 @@ this module adds is the *maintenance* machinery:
   heap *in the same commit* (so the WAL and crash recovery see an
   atomic unit). Anything it cannot handle incrementally (coarse writes,
   version skew from non-transactional installs, interpreter errors)
-  degrades to marking the view stale; stale views are refreshed on the
-  next read outside a transaction.
+  degrades to marking the view stale, counted per reason in
+  :attr:`MatviewMaintainer.stale_reasons`; stale views are refreshed on
+  the next read outside a transaction.
 
-Ordering: every engine emits inner-join output probe-major, which makes
-query output order lexicographic in the left-to-right sequence of base
-leaf positions. The interpreter therefore tags each derived row with
-the tuple of its source-row *positions* and sorts the final content by
-that tuple — no order-preserving join machinery is needed, and the
-stored rows are bit-identical to the unfolded query on every engine.
+Ordering: row ids ascend in every base-table state — appended rows take
+fresh ids from one global counter, every mutator keeps row order, a
+merged commit re-ids its inserts (``Transaction._merged_state``);
+``resolve_write_set``'s bisection and the sqlite mirror's rowid rely on
+the same invariant. Every engine emits inner-join output probe-major,
+which makes query output order lexicographic in the left-to-right
+sequence of base leaf positions, hence in the tuple of source row ids.
+The interpreter therefore tags each derived row with that tuple alone:
+it keys removal, and sorting by it is the canonical order — no
+order-preserving join machinery is needed, and the stored rows are
+bit-identical to the unfolded query on every engine. Across a commit
+survivors keep their relative order and the sorted additions merge in.
 
 The telescoping expansion counts each *added* combination exactly once,
 by the first leaf position holding a new row: with per-leaf new state
@@ -44,8 +51,9 @@ by the first leaf position holding a new row: with per-leaf new state
 
 from __future__ import annotations
 
+from functools import cached_property, partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
@@ -66,49 +74,47 @@ __all__ = [
     "base_table_names",
 ]
 
-#: A derived row in flight: (output values, source row ids per leaf,
-#: source row positions per leaf). The id tuple keys removal, the
-#: position tuple keys canonical order.
-Triple = "tuple[tuple, tuple[int, ...], tuple[int, ...]]"
-
-_pos_key = itemgetter(2)
+#: A derived row in flight is ``(output values, source row ids per leaf)``;
+#: the id tuple keys removal and, sorted, is the canonical order.
+_source_ids = itemgetter(1)
 
 #: Expression nodes that make a shape non-delta-safe: their value can
 #: depend on state outside the leaf rows (sublinks, parameters, outer
 #: references) or they are only valid under operators we reject anyway.
 _UNSAFE_EXPRS = (ax.SubqueryExpr, ax.Param, ax.OuterColumn, ax.AggExpr)
 
-#: Bound on cached all-committed-state subtree results per program.
-_FULL_CACHE_LIMIT = 128
-
 
 class _Unsafe(Exception):
     """Internal signal: the plan shape is not delta-safe."""
 
 
+def _leaf_rows(rows, ids) -> list:
+    return [(row, (rid,)) for row, rid in zip(rows, ids)]
+
+
 class _LeafState:
     """What one leaf produces for one evaluation: a cache token naming
-    the state, and the triples ``(row, (rid,), (pos,))``."""
+    the state, and its derived rows ``(row, (rid,))`` — built when a
+    scan first reads them, so a state no term scans costs nothing."""
 
-    __slots__ = ("token", "triples")
-
-    def __init__(self, token: tuple, triples: list):
+    def __init__(self, token: tuple, build: Callable[[], list]):
         self.token = token
-        self.triples = triples
+        self._build = build
+
+    @cached_property
+    def rows(self) -> list:
+        return self._build()
 
 
-class _Ctx:
+class _Ctx(NamedTuple):
     """One evaluation's leaf states plus the two result caches: the
     per-round cache (any state mix) and the program's persistent cache
-    (only subtree results over fully-committed leaf states, whose
-    tokens carry version stamps and so can never alias)."""
+    (per join step, its latest result over fully-committed leaf states,
+    whose tokens carry version stamps and so can never alias)."""
 
-    __slots__ = ("states", "cache", "full_cache")
-
-    def __init__(self, states, cache, full_cache):
-        self.states = states
-        self.cache = cache
-        self.full_cache = full_cache
+    states: list
+    cache: dict
+    full_cache: dict
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +123,10 @@ class _Ctx:
 
 
 class _Step:
+    """``rows(ctx)`` evaluates the step over the context's leaf states;
+    ``leaf_start:leaf_end`` are the leaves below it."""
+
     __slots__ = ("index", "leaf_start", "leaf_end")
-    cacheable = False
-
-    def rows(self, ctx: _Ctx) -> list:
-        if not self.cacheable:
-            return self._compute(ctx)
-        tokens = tuple(
-            s.token for s in ctx.states[self.leaf_start : self.leaf_end]
-        )
-        key = (self.index, tokens)
-        hit = ctx.cache.get(key)
-        if hit is not None:
-            return hit
-        hit = ctx.full_cache.get(key)
-        if hit is not None:
-            return hit
-        result = self._compute(ctx)
-        ctx.cache[key] = result
-        if all(token[0] == "full" for token in tokens):
-            if len(ctx.full_cache) >= _FULL_CACHE_LIMIT:
-                ctx.full_cache.clear()
-            ctx.full_cache[key] = result
-        return result
-
-    def _compute(self, ctx: _Ctx) -> list:  # pragma: no cover - abstract
-        raise NotImplementedError
 
 
 class _ScanStep(_Step):
@@ -151,15 +135,15 @@ class _ScanStep(_Step):
     def __init__(self, leaf: int):
         self.leaf = leaf
 
-    def _compute(self, ctx: _Ctx) -> list:
-        return ctx.states[self.leaf].triples
+    def rows(self, ctx: _Ctx) -> list:
+        return ctx.states[self.leaf].rows
 
 
 class _SingleRowStep(_Step):
     __slots__ = ()
 
-    def _compute(self, ctx: _Ctx) -> list:
-        return [((), (), ())]
+    def rows(self, ctx: _Ctx) -> list:
+        return [((), ())]
 
 
 class _ProjectStep(_Step):
@@ -169,11 +153,11 @@ class _ProjectStep(_Step):
         self.child = child
         self.fns = fns
 
-    def _compute(self, ctx: _Ctx) -> list:
+    def rows(self, ctx: _Ctx) -> list:
         fns = self.fns
         return [
-            (tuple(fn(values, None) for fn in fns), sids, pos)
-            for values, sids, pos in self.child.rows(ctx)
+            (tuple(fn(values, None) for fn in fns), sids)
+            for values, sids in self.child.rows(ctx)
         ]
 
 
@@ -184,22 +168,22 @@ class _SelectStep(_Step):
         self.child = child
         self.predicate = predicate
 
-    def _compute(self, ctx: _Ctx) -> list:
+    def rows(self, ctx: _Ctx) -> list:
         predicate = self.predicate
         return [
-            triple
-            for triple in self.child.rows(ctx)
-            if is_true(predicate(triple[0], None))
+            derived
+            for derived in self.child.rows(ctx)
+            if is_true(predicate(derived[0], None))
         ]
 
 
 class _JoinStep(_Step):
-    """Inner (or cross) hash/nested-loop join. Output order is arbitrary
-    — the program sorts final results by position tuple, so the build
-    side is chosen purely by size."""
+    """Inner (or cross) hash/nested-loop join, the one step whose
+    results are cached. Output order is arbitrary — the program sorts
+    final results by source-id tuple, so the build side is chosen purely
+    by size."""
 
     __slots__ = ("left", "right", "left_keys", "right_keys", "null_safe", "residual")
-    cacheable = True
 
     def __init__(self, left, right, left_keys, right_keys, null_safe, residual):
         self.left = left
@@ -219,7 +203,25 @@ class _JoinStep(_Step):
             key.append(value_identity(value))
         return tuple(key)
 
-    def _compute(self, ctx: _Ctx) -> list:
+    def rows(self, ctx: _Ctx) -> list:
+        tokens = tuple(
+            s.token for s in ctx.states[self.leaf_start : self.leaf_end]
+        )
+        key = (self.index, tokens)
+        hit = ctx.cache.get(key)
+        if hit is not None:
+            return hit
+        known = ctx.full_cache.get(self.index)
+        if known is not None and known[0] == tokens:
+            result = known[1]
+        else:
+            result = self._join(ctx)
+            if all(token[0] == "full" for token in tokens):
+                ctx.full_cache[self.index] = (tokens, result)
+        ctx.cache[key] = result
+        return result
+
+    def _join(self, ctx: _Ctx) -> list:
         left_rows = self.left.rows(ctx)
         right_rows = self.right.rows(ctx)
         out: list = []
@@ -228,10 +230,10 @@ class _JoinStep(_Step):
         residual = self.residual
         if not self.left_keys:
             # Cross join (or residual-only condition): nested loops.
-            for lv, ls, lp in left_rows:
-                for rv, rs, rp in right_rows:
+            for lv, ls in left_rows:
+                for rv, rs in right_rows:
                     if residual is None or is_true(residual(lv + rv, None)):
-                        out.append((lv + rv, ls + rs, lp + rp))
+                        out.append((lv + rv, ls + rs))
             return out
         null_safe = self.null_safe
         if len(left_rows) <= len(right_rows):
@@ -243,32 +245,23 @@ class _JoinStep(_Step):
             probe, probe_keys = left_rows, self.left_keys
             build_is_left = False
         table: dict = {}
-        for triple in build:
-            key = self._key(triple[0], build_keys, null_safe)
+        for derived in build:
+            key = self._key(derived[0], build_keys, null_safe)
+            if key is None:
+                continue
+            table.setdefault(key, []).append(derived)
+        for values, sids in probe:
+            key = self._key(values, probe_keys, null_safe)
             if key is None:
                 continue
             bucket = table.get(key)
             if bucket is None:
-                table[key] = [triple]
-            else:
-                bucket.append(triple)
-        for triple in probe:
-            key = self._key(triple[0], probe_keys, null_safe)
-            if key is None:
                 continue
-            bucket = table.get(key)
-            if bucket is None:
-                continue
-            values, sids, pos = triple
-            for other in bucket:
+            for other_values, other_sids in bucket:
                 if build_is_left:
-                    joined = (
-                        other[0] + values,
-                        other[1] + sids,
-                        other[2] + pos,
-                    )
+                    joined = (other_values + values, other_sids + sids)
                 else:
-                    joined = (values + other[0], sids + other[1], pos + other[2])
+                    joined = (values + other_values, sids + other_sids)
                 if residual is None or is_true(residual(joined[0], None)):
                     out.append(joined)
         return out
@@ -288,7 +281,8 @@ def _check_exprs(exprs) -> None:
 
 class MatviewProgram:
     """A compiled delta-safe plan: the step tree, the left-to-right base
-    table of every leaf, and the persistent committed-state cache."""
+    table of every leaf, and the persistent committed-state cache
+    (``step index -> (leaf tokens, result)``, one entry per join step)."""
 
     def __init__(self, root: _Step, leaves: list[str], schema):
         self.root = root
@@ -304,29 +298,19 @@ class MatviewProgram:
         (through the active transaction, if any). Returns the stored
         rows in canonical order, the parallel source-id tuples, and the
         base versions the content was computed from."""
-        states: list[_LeafState] = []
         base_versions: dict[str, int] = {}
         built: dict[str, _LeafState] = {}
         for name in self.leaves:
-            state = built.get(name)
-            if state is None:
+            if name not in built:
                 heap = catalog.table(name).table
-                rows, ids = heap._visible_pair()
-                version = heap.version
-                base_versions[name] = version
-                state = _LeafState(
+                version = base_versions[name] = heap.version
+                built[name] = _LeafState(
                     ("full", name, version),
-                    [
-                        (row, (rid,), (pos,))
-                        for pos, (row, rid) in enumerate(zip(rows, ids))
-                    ],
+                    partial(_leaf_rows, *heap._visible_pair()),
                 )
-                built[name] = state
-            states.append(state)
-        ctx = _Ctx(states, {}, {})
-        out = list(self.root.rows(ctx))
-        out.sort(key=_pos_key)
-        return [t[0] for t in out], [t[1] for t in out], base_versions
+        states = [built[name] for name in self.leaves]
+        out = sorted(self.root.rows(_Ctx(states, {}, {})), key=_source_ids)
+        return [d[0] for d in out], [d[1] for d in out], base_versions
 
 
 def compile_program(root: an.Node, catalog: "Catalog") -> Optional[MatviewProgram]:
@@ -448,52 +432,36 @@ class MatviewCommitChange(mvcc.CommitChange):
 
 class _TableDelta:
     """One commit's effect on one base table, shared by every view that
-    reads it: the added rows (inserts plus updated-to-new-content, with
-    their new positions), the removed row ids (deletes plus the old
-    halves of updates), and the complete new state in leaf-triple form."""
+    reads it: the added rows (inserts plus updated-to-new-content), the
+    removed row ids (deletes plus the old halves of updates), and the
+    three leaf states the telescoping expansion reads — ``delta`` (the
+    added rows), ``full`` (the complete new state) and ``sub`` (the new
+    state minus the added rows, ``N \\ A``)."""
 
-    __slots__ = (
-        "added",
-        "added_ids",
-        "removed",
-        "wrapped",
-        "pos_by_id",
-        "version",
-        "_sub",
-        "_delta_state",
-        "name",
-        "seq",
-    )
+    __slots__ = ("added", "removed", "delta", "full", "sub")
 
-    def __init__(self, name, seq, added, removed, wrapped, pos_by_id, version):
-        self.name = name
-        self.seq = seq
+    def __init__(self, name, seq, change: mvcc.CommitChange, added, removed):
         self.added = added
-        self.added_ids = {rid for _, rid, _ in added}
         self.removed = removed
-        self.wrapped = wrapped
-        self.pos_by_id = pos_by_id
-        self.version = version
-        self._sub = None
-        self._delta_state = None
+        self.delta = _LeafState(
+            ("delta", name, seq),
+            lambda: [(row, (rid,)) for row, rid in added],
+        )
 
-    def delta_state(self) -> _LeafState:
-        if self._delta_state is None:
-            self._delta_state = _LeafState(
-                ("delta", self.name, self.seq),
-                [(row, (rid,), (pos,)) for row, rid, pos in self.added],
-            )
-        return self._delta_state
+        def full() -> list:
+            if change.rows is not None:
+                return _leaf_rows(change.rows, change.ids)
+            # Append-only: the new state is the previous one plus the tail.
+            rows, _, ids = change.previous
+            return _leaf_rows(rows, ids) + _leaf_rows(*change.tail)
 
-    def sub_state(self) -> _LeafState:
-        """The new state minus the added rows (``N \\ A``)."""
-        if self._sub is None:
-            added = self.added_ids
-            self._sub = _LeafState(
-                ("sub", self.name, self.seq),
-                [t for t in self.wrapped if t[1][0] not in added],
-            )
-        return self._sub
+        self.full = _LeafState(("full", name, change.version), full)
+
+        def sub() -> list:
+            added_ids = {rid for _, rid in added}
+            return [d for d in self.full.rows if d[1][0] not in added_ids]
+
+        self.sub = _LeafState(("sub", name, seq), sub)
 
 
 class MatviewMaintainer:
@@ -508,52 +476,30 @@ class MatviewMaintainer:
         self.catalog = catalog
         # Telemetry (surfaced through Database.matview_stats / STATS).
         self.incremental_commits = 0
-        self.stale_marks = 0
         self.rows_added = 0
         self.rows_removed = 0
-        # Per-table extended committed state:
-        # name -> (heap, version, wrapped triples, pos-by-id).
+        #: Commits maintenance could not follow, counted per reason.
+        self.stale_reasons: dict[str, int] = {}
+        # Per-table committed leaf state: name -> (heap, state).
         self._ext: dict[str, tuple] = {}
 
-    # -- extended-state cache ------------------------------------------
-    def _ext_state(self, name: str, heap: "HeapTable") -> tuple:
+    def _ext_state(self, name: str, heap: "HeapTable") -> _LeafState:
+        """The committed state of a table the commit leaves alone,
+        memoized per version stamp."""
         rows, version, ids = heap._state
         known = self._ext.get(name)
-        if known is not None and known[0] is heap and known[1] == version:
-            return known
-        wrapped = [
-            (row, (rid,), (pos,)) for pos, (row, rid) in enumerate(zip(rows, ids))
-        ]
-        pos_by_id = {rid: pos for pos, rid in enumerate(ids)}
-        state = (heap, version, wrapped, pos_by_id)
-        self._ext[name] = state
-        return state
+        if known is None or known[0] is not heap or known[1].token[2] != version:
+            state = _LeafState(("full", name, version), partial(_leaf_rows, rows, ids))
+            known = self._ext[name] = (heap, state)
+        return known[1]
 
     def _delta(self, name: str, change: mvcc.CommitChange, seq: int) -> _TableDelta:
         deleted, updated, inserted = change.resolve()
-        if change.rows is None:
-            # Append-only: extend the previous state's cached triples in
-            # place (nothing has installed yet, so ``_ext_state`` is the
-            # previous state). They stop describing that state, so they
-            # leave the cache; ``finalize`` files them under the new
-            # stamp once the commit has installed.
-            _, _, wrapped, pos_by_id = self._ext_state(name, change.table)
-            del self._ext[name]
-            for pos, (rid, row) in enumerate(inserted, len(wrapped)):
-                wrapped.append((row, (rid,), (pos,)))
-                pos_by_id[rid] = pos
-        else:
-            wrapped = [
-                (row, (rid,), (pos,))
-                for pos, (row, rid) in enumerate(zip(change.rows, change.ids))
-            ]
-            pos_by_id = {rid: pos for pos, rid in enumerate(change.ids)}
         # An update is the removal of the old content plus the addition
         # of the new one (under the same row id).
-        added = [(row, rid, pos_by_id[rid]) for rid, row in updated + inserted]
-        removed = set(deleted)
-        removed.update(rid for rid, _ in updated)
-        return _TableDelta(name, seq, added, removed, wrapped, pos_by_id, change.version)
+        added = [(row, rid) for rid, row in updated + inserted]
+        removed = set(deleted).union(rid for rid, _ in updated)
+        return _TableDelta(name, seq, change, added, removed)
 
     # -- the commit hook ------------------------------------------------
     def on_commit(
@@ -562,9 +508,7 @@ class MatviewMaintainer:
         catalog = self.catalog
         if not catalog._matviews:
             return [], None
-        by_name: dict[str, mvcc.CommitChange] = {}
-        for change in changes:
-            by_name[change.table.name.lower()] = change
+        by_name = {change.table.name.lower(): change for change in changes}
         extra: list[mvcc.CommitChange] = []
         finalizers: list[Callable[[], None]] = []
         deltas: dict[str, _TableDelta] = {}
@@ -575,28 +519,17 @@ class MatviewMaintainer:
             if not relevant:
                 continue
             try:
-                ok = self._maintain(
+                reason = self._maintain(
                     entry, relevant, by_name, deltas, seq, extra, finalizers
                 )
-            except Exception:
-                ok = False
-            if not ok:
-                finalizers.append(lambda n=entry.name: self._degrade(n))
-        if not extra and not finalizers:
+            except Exception as exc:
+                reason = f"error: {type(exc).__name__}"
+            if reason is not None:
+                finalizers.append(partial(self._degrade, entry.name, reason))
+        if not finalizers:
             return [], None
 
-        pending_ext = {
-            name: (
-                by_name[name].table,
-                deltas[name].version,
-                deltas[name].wrapped,
-                deltas[name].pos_by_id,
-            )
-            for name in deltas
-        }
-
         def finalize() -> None:
-            self._ext.update(pending_ext)
             for fn in finalizers:
                 fn()
 
@@ -605,16 +538,16 @@ class MatviewMaintainer:
     def mark_stale(self, name: str) -> None:
         """Flag a view stale so commit-time maintenance skips it until
         its next refresh (refresh fencing, a changed view definition, a
-        failed refresh). Not a degradation: ``stale_marks`` counts only
-        the commits maintenance could not follow."""
+        failed refresh). Not a degradation: ``stale_reasons`` counts
+        only the commits maintenance could not follow."""
         try:
             self.catalog.mark_matview_stale(name)
         except Exception:  # pragma: no cover - dropped concurrently
             pass
 
-    def _degrade(self, name: str) -> None:
+    def _degrade(self, name: str, reason: str) -> None:
         self.mark_stale(name)
-        self.stale_marks += 1
+        self.stale_reasons[reason] = self.stale_reasons.get(reason, 0) + 1
 
     def _maintain(
         self,
@@ -625,109 +558,86 @@ class MatviewMaintainer:
         seq: int,
         extra: list[mvcc.CommitChange],
         finalizers: list[Callable[[], None]],
-    ) -> bool:
+    ) -> Optional[str]:
+        """Stage *entry*'s share of the commit; returns ``None``, or the
+        reason the view has to go stale instead."""
         program = entry.program
         if not entry.delta_safe or program is None or entry.source_ids is None:
-            return False
+            return "not delta-safe"
         catalog = self.catalog
-        for name in relevant:
-            change = by_name[name]
-            if change.written is None:
-                return False
-            if entry.base_versions.get(name) != change.previous[1]:
+        if any(by_name[name].written is None for name in relevant):
+            return "coarse write"
+        for name in entry.base_tables:
+            change = by_name.get(name)
+            state = change.previous if change else catalog.table(name).table._state
+            if entry.base_versions.get(name) != state[1]:
                 # Something bypassed maintenance (e.g. a direct install):
                 # the stored rows no longer track the bases.
-                return False
-        for name in entry.base_tables:
-            if name not in by_name:
-                if entry.base_versions.get(name) != catalog.table(name).table._state[1]:
-                    return False
-        for name in relevant:
-            if name not in deltas:
-                deltas[name] = self._delta(name, by_name[name], seq)
-
-        leaves = program.leaves
+                return "version skew"
         heap = entry.table
         old_rows, _, old_ids = heap._state
         sids = entry.source_ids
         if len(sids) != len(old_rows):
-            return False
-
-        # Position maps under the new base states (changed tables from
-        # their staged deltas, unchanged from the committed state).
-        pos_maps = []
-        leaf_deltas = []
-        for name in leaves:
-            delta = deltas.get(name)
-            leaf_deltas.append(delta)
-            if delta is not None:
-                pos_maps.append(delta.pos_by_id)
-            else:
-                pos_maps.append(self._ext_state(name, catalog.table(name).table)[3])
+            return "source ids out of step"
+        for name in relevant:
+            if name not in deltas:
+                deltas[name] = self._delta(name, by_name[name], seq)
+        leaf_deltas = [deltas.get(name) for name in program.leaves]
 
         # Removal: any stored row deriving from a removed base row dies.
-        survivors: list = []
-        removed_mv_ids: list[int] = []
-        width = len(leaves)
-        for row, rid, sid in zip(old_rows, old_ids, sids):
-            dead = False
-            for i in range(width):
-                delta = leaf_deltas[i]
-                if delta is not None and sid[i] in delta.removed:
-                    dead = True
-                    break
-            if dead:
-                removed_mv_ids.append(rid)
-                continue
-            new_pos = tuple(pos_maps[i][sid[i]] for i in range(width))
-            survivors.append((new_pos, row, rid, sid))
+        dead: set[int] = set()
+        for i, delta in enumerate(leaf_deltas):
+            if delta is not None and delta.removed:
+                gone = delta.removed
+                dead.update(k for k, sid in enumerate(sids) if sid[i] in gone)
+        removed_mv_ids = [old_ids[k] for k in sorted(dead)]
 
         # Addition: the telescoping expansion, one term per leaf whose
-        # table gained new rows this commit.
-        full_states = []
-        for i, name in enumerate(leaves):
-            delta = leaf_deltas[i]
-            if delta is not None:
-                full_states.append(
-                    _LeafState(("full", name, delta.version), delta.wrapped)
-                )
-            else:
-                ext = self._ext_state(name, catalog.table(name).table)
-                full_states.append(_LeafState(("full", name, ext[1]), ext[2]))
+        # table gained new rows this commit. A changed table's full new
+        # state is built only if some term scans it.
+        full_states = [
+            delta.full
+            if delta is not None
+            else self._ext_state(name, catalog.table(name).table)
+            for name, delta in zip(program.leaves, leaf_deltas)
+        ]
         additions: list = []
-        ctx = _Ctx(None, {}, program._full_cache)
-        for i in range(width):
-            delta = leaf_deltas[i]
+        cache: dict = {}
+        for i, delta in enumerate(leaf_deltas):
             if delta is None or not delta.added:
                 continue
             states = list(full_states)
-            states[i] = delta.delta_state()
+            states[i] = delta.delta
             for j in range(i):
                 dj = leaf_deltas[j]
                 if dj is not None and dj.added:
-                    states[j] = dj.sub_state()
-            ctx.states = states
+                    states[j] = dj.sub
+            ctx = _Ctx(states, cache, program._full_cache)
             additions.extend(program.root.rows(ctx))
-
-        additions.sort(key=_pos_key)
+        additions.sort(key=_source_ids)
         add_ids = mvcc.new_row_ids(len(additions))
-        combined = survivors + [
-            (t[2], t[0], add_ids[k], t[1]) for k, t in enumerate(additions)
+
+        # Survivors keep their source ids, hence their relative order:
+        # two ascending runs, which the sort merges in one pass.
+        merged = [
+            stored
+            for k, stored in enumerate(zip(sids, old_rows, old_ids))
+            if k not in dead
         ]
-        combined.sort(key=itemgetter(0))
-        final_rows = [c[1] for c in combined]
-        final_ids = [c[2] for c in combined]
-        final_sids = [c[3] for c in combined]
+        merged += [(sid, row, rid) for (row, sid), rid in zip(additions, add_ids)]
+        merged.sort(key=itemgetter(0))
+        final_rows = [stored[1] for stored in merged]
+        final_ids = [stored[2] for stored in merged]
+        final_sids = [stored[0] for stored in merged]
 
         new_base_versions = dict(entry.base_versions)
-        for name in relevant:
-            new_base_versions[name] = deltas[name].version
+        new_base_versions.update((name, by_name[name].version) for name in relevant)
 
         added_id_set = set(add_ids)
         insert_at = [
-            (index, c[2], c[1])
-            for index, c in enumerate(combined)
-            if c[2] in added_id_set
+            (index, rid, row)
+            for index, (_, row, rid) in enumerate(merged)
+            if rid in added_id_set
         ]
         # The WAL logs the positioned delta (not the full contents) plus
         # the base versions it advances to, so recovery replays both the
@@ -749,18 +659,12 @@ class MatviewMaintainer:
             )
         )
 
-        def finalize(
-            entry=entry,
-            versions=new_base_versions,
-            sids=final_sids,
-            added=len(additions),
-            removed=len(removed_mv_ids),
-        ) -> None:
-            entry.base_versions = versions
-            entry.source_ids = sids
+        def finalize() -> None:
+            entry.base_versions = new_base_versions
+            entry.source_ids = final_sids
             self.incremental_commits += 1
-            self.rows_added += added
-            self.rows_removed += removed
+            self.rows_added += len(additions)
+            self.rows_removed += len(removed_mv_ids)
 
         finalizers.append(finalize)
-        return True
+        return None

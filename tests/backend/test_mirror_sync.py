@@ -313,19 +313,9 @@ class ChangeRecordChecker:
                 assert [rid for rid, _ in wal.get(key, [])] == [rid for rid, _ in pairs]
             assert wal.get("delete", []) == deleted
             # The maintainer removes every deleted row and the old half
-            # of every update, and adds the new half and every insert —
-            # at its position in the new state.
+            # of every update, and adds the new half and every insert.
             assert delta.removed == gone | set(new)
-            assert sorted(delta.added, key=lambda a: a[2]) == sorted(
-                ((row, rid, ids.index(rid)) for rid, row in updated + inserted),
-                key=lambda a: a[2],
-            )
-            assert delta.wrapped == [
-                (row, (rid,), (pos,)) for pos, (row, rid) in enumerate(zip(rows, ids))
-            ]
-            self.maintainer._ext[table.name] = (
-                table, version, delta.wrapped, delta.pos_by_id,
-            )
+            assert delta.added == [(row, rid) for rid, row in updated + inserted]
             # The delta log the mirror reads resolves to the same change.
             if len(change.written) + len(change.inserted) <= DELTA_LOG_ROWS:
                 assert table.changes_since(prev_version) == (deleted, updated, inserted)

@@ -2,11 +2,15 @@
 
 Random DML — autocommit statements and multi-statement transactions
 (committed or rolled back) — runs against base tables carrying a
-delta-safe filter matview, a delta-safe join matview and a
-provenance-carrying one. After every commit boundary each matview must
-be bit-identical (rows and order) to its unfolded defining query: the
-telescoped join deltas, removal intersections and provenance join-backs
-can never drift from recomputation, no matter the interleaving.
+delta-safe filter matview, a delta-safe join matview, a self-join (the
+changed table is also the other side), a three-way join whose first pair
+a commit often leaves alone, and a provenance-carrying one. After every
+commit boundary each matview must be bit-identical (rows and order) to
+its unfolded defining query: the telescoped join deltas, removal
+intersections and provenance join-backs can never drift from
+recomputation, no matter the interleaving. The order rests on one
+invariant, checked alongside: row ids ascend in every base-table state,
+so each view's source-id tuples are sorted.
 """
 
 from __future__ import annotations
@@ -23,17 +27,25 @@ MATVIEWS = {
         "SELECT i.id, i.grp, t.label FROM item i "
         "JOIN tag t ON t.item = i.id WHERE i.qty > 0"
     ),
+    "mv_self": (
+        "SELECT i.id AS lo, j.id AS hi FROM item i "
+        "JOIN item j ON j.grp = i.grp WHERE i.qty < j.qty"
+    ),
+    "mv_three": (
+        "SELECT k.title, i.id, t.label FROM kind k "
+        "JOIN item i ON i.grp = k.grp JOIN tag t ON t.item = i.id"
+    ),
     "mv_prov": "SELECT PROVENANCE id, qty FROM item WHERE qty < 8",
 }
 _CREATE = {
-    "mv_busy": "CREATE MATERIALIZED VIEW mv_busy AS "
-    "SELECT id, grp, qty FROM item WHERE qty >= 3",
-    "mv_join": "CREATE MATERIALIZED VIEW mv_join AS "
-    "SELECT i.id, i.grp, t.label FROM item i "
-    "JOIN tag t ON t.item = i.id WHERE i.qty > 0",
-    "mv_prov": "CREATE MATERIALIZED VIEW mv_prov WITH PROVENANCE AS "
-    "SELECT id, qty FROM item WHERE qty < 8",
+    name: f"CREATE MATERIALIZED VIEW {name} AS {sql}"
+    for name, sql in MATVIEWS.items()
+    if name != "mv_prov"
 }
+_CREATE["mv_prov"] = (
+    "CREATE MATERIALIZED VIEW mv_prov WITH PROVENANCE AS "
+    "SELECT id, qty FROM item WHERE qty < 8"
+)
 
 
 def _random_dml(rng: random.Random, next_id: list[int]) -> str:
@@ -71,6 +83,13 @@ def _assert_matviews_match(db, context: str) -> None:
             f"{context}: {name} diverged\n  stored:     {through}\n"
             f"  recomputed: {direct}"
         )
+        entry = db.catalog.matview(name)
+        assert entry.delta_safe and entry.source_ids == sorted(entry.source_ids)
+    for entry in db.catalog.tables:
+        ids = entry.table._state[2]
+        assert all(a < b for a, b in zip(ids, ids[1:])), f"{context}: {entry.name}"
+    reasons = db.database.matview_stats()["stale_reasons"]
+    assert not any(r.startswith("error:") for r in reasons), reasons
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -79,6 +98,8 @@ def test_matviews_track_random_dml(seed: int):
     db = repro.connect()
     db.run("CREATE TABLE item (id int, grp text, qty int)")
     db.run("CREATE TABLE tag (item int, label text)")
+    db.run("CREATE TABLE kind (grp text, title text)")
+    db.load_rows("kind", [(g, g.upper()) for g in "abc"])
     next_id = [6]
     db.load_rows(
         "item",

@@ -4,7 +4,7 @@ nobody walks the superseded table state to find out.
 The fuzzed agreement checks (change record vs new state, WAL record,
 maintainer delta, ``changes_since``) live beside the mirror fuzzer in
 ``tests/backend/test_mirror_sync.py``; this file holds the cost side,
-what the maintainer's cached state does when the log write fails, and
+what the maintainer's cached state holds after a failed log write, and
 the round trip between the record's producer and its one applier.
 """
 
@@ -52,14 +52,26 @@ def test_small_commit_never_iterates_the_previous_state(size: int, tmp_path):
         heap = db.catalog.table("t").table
         rows, version, ids = heap._state
         heap._state = (CountingList(rows), version, CountingList(ids))
+        # ... nor the state the commit leads to: the hooks get it as
+        # counting lists too.
+        maintain = db.manager.matview_maintainer
+
+        def counting(seq, changes):
+            for change in changes:
+                change.rows = CountingList(change.rows)
+                change.ids = CountingList(change.ids)
+            return maintain(seq, changes)
+
+        db.manager.matview_maintainer = counting
         conn.execute("BEGIN")
         conn.execute("UPDATE t SET val = -1 WHERE id = 7")  # the scan may iterate
         CountingList.iterations = 0
         conn.execute("COMMIT")
         assert CountingList.iterations == 0
+        db.manager.matview_maintainer = maintain
 
         stats = db.matview_stats()
-        assert stats["incremental_commits"] == 2 and stats["stale_marks"] == 0
+        assert stats["incremental_commits"] == 2 and stats["stale_reasons"] == {}
         assert conn.execute("SELECT * FROM mv").fetchall() == conn.execute(
             "SELECT t.id, t.val, d.label FROM t JOIN d ON d.grp = t.grp"
         ).fetchall()
@@ -74,9 +86,10 @@ def test_small_commit_never_iterates_the_previous_state(size: int, tmp_path):
 
 
 def test_failed_wal_append_leaves_no_phantom_row_in_the_maintainer(tmp_path):
-    """The maintainer extends its cached leaf state in place on an
-    append-only commit; a commit whose log record then fails must not
-    leave the appended row behind for later deltas to join against."""
+    """The maintainer keeps leaf states of committed tables across
+    commits; a commit whose log record fails installs nothing, so its
+    appended row must not be there for later deltas to join against
+    (nothing the maintainer caches is written from a staged change)."""
     with Database(path=str(tmp_path / "db"), durability="off") as db:
         conn = db.connect()
         conn.execute("CREATE TABLE t (id int, grp int)")
@@ -101,7 +114,7 @@ def test_failed_wal_append_leaves_no_phantom_row_in_the_maintainer(tmp_path):
 
         conn.execute("INSERT INTO t VALUES (5, 2)")
         conn.execute("INSERT INTO d VALUES (9, 'nine'), (2, 'two')")
-        assert db.matview_stats()["stale_marks"] == 0
+        assert db.matview_stats()["stale_reasons"] == {}
         assert conn.execute("SELECT * FROM mv").fetchall() == [
             (1, "one"), (2, "two"), (3, "one"), (5, "two"),
         ]

@@ -613,6 +613,13 @@ def run_schedule(schedule: Schedule, engine: str = "row") -> dict[str, int]:
                     schedule,
                     engine,
                 )
+        # A view may go stale for a stated reason; an interpreter error
+        # must never hide behind the recompute.
+        reasons = database.matview_stats()["stale_reasons"]
+        if any(reason.startswith("error:") for reason in reasons):
+            raise ScheduleFailure(
+                f"matview maintenance raised: {reasons}", schedule, engine
+            )
     scratch.close()
     setup.close()
     return counters
