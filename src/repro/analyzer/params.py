@@ -15,7 +15,7 @@ contexts stay untyped and accept any value.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
@@ -58,6 +58,8 @@ def _walk_plan(
 ) -> None:
     for node in walk_tree(root):
         schema = _input_schema(node)
+        if isinstance(node, (an.Select, an.Join)):
+            _predicate(node.condition, found)
         for expr in node.expressions():
             for sub in ax.walk_expr(expr):
                 _match(sub, schema, outer, found)
@@ -77,11 +79,9 @@ def _match(
                 _record(found, side, SQLType.TEXT)
     elif isinstance(expr, ax.BinOp) and expr.op in ("and", "or"):
         for side in (expr.left, expr.right):
-            if isinstance(side, ax.Param):
-                _record(found, side, SQLType.BOOL)
+            _predicate(side, found)
     elif isinstance(expr, ax.UnOp) and expr.op == "not":
-        if isinstance(expr.operand, ax.Param):
-            _record(found, expr.operand, SQLType.BOOL)
+        _predicate(expr.operand, found)
     elif isinstance(expr, ax.DistinctTest):
         _share((expr.left, expr.right), schema, outer, found)
     elif isinstance(expr, ax.InListExpr):
@@ -92,6 +92,9 @@ def _match(
         if scalar is not None and scalar.unifies_args:
             _share(expr.args, schema, outer, found)
     elif isinstance(expr, ax.CaseExpr):
+        if expr.operand is None:  # searched CASE: every WHEN is a predicate
+            for condition, _ in expr.whens:
+                _predicate(condition, found)
         results = [result for _, result in expr.whens]
         if expr.else_result is not None:
             results.append(expr.else_result)
@@ -118,6 +121,12 @@ def _share(
             shared = unify_types(shared, ax.static_type(expr, schema, outer), "parameter")
         for param in params:
             _record(found, param, shared)
+
+
+def _predicate(expr: Optional[ax.Expr], found: dict[int, SQLType]) -> None:
+    """*expr* is used as a truth value: a parameter there is BOOL."""
+    if isinstance(expr, ax.Param):
+        _record(found, expr, SQLType.BOOL)
 
 
 def _record(found: dict[int, SQLType], param: ax.Param, type_: SQLType) -> None:

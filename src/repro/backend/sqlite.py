@@ -38,8 +38,9 @@ row-level change between the two (:meth:`~repro.storage.table.HeapTable
 .changes_since`) and applies it as ``DELETE`` / ``UPDATE`` / ``INSERT``
 by rowid — work proportional to the change. It **reloads** (the same
 code as the first load) only when it must: the table object or schema
-changed, the heap has no delta between the two stamps (a coarse write, a
-transaction's own uncommitted writes, a trimmed log), the delta exceeds
+changed, the heap has no delta between the two stamps (a view's
+recomputed contents, a transaction's own uncommitted writes, a trimmed
+log, recovery), the delta exceeds
 a fixed share of the table, or the mirror is positional (row ids not
 ascending — a maintained view's heap, say — or a subclass with
 ``delta_sync = False``). Each reload records its reason in

@@ -77,7 +77,7 @@ class MatviewEntry(TableEntry):
     stored rows exactly like a base table; the query (and its SQL text,
     which survives checkpoints) lets the engine refresh or incrementally
     maintain the contents. ``stale`` marks contents that no longer match
-    the base tables (non-delta-safe shape, coarse base write, or a view
+    the base tables (non-delta-safe shape, version skew, or a view
     redefinition); reads outside a transaction refresh stale matviews
     before planning.
 

@@ -23,9 +23,9 @@ this module adds is the *maintenance* machinery:
   telescoping delta expansion — and emits one extra
   :class:`~repro.storage.mvcc.CommitChange` that updates the view's
   heap *in the same commit* (so the WAL and crash recovery see an
-  atomic unit). Anything it cannot handle incrementally (coarse writes,
-  version skew from non-transactional installs, interpreter errors)
-  degrades to marking the view stale, counted per reason in
+  atomic unit). Anything it cannot handle incrementally (a shape that is
+  not delta-safe, version skew, interpreter errors) degrades to marking
+  the view stale, counted per reason in
   :attr:`MatviewMaintainer.stale_reasons`; stale views are refreshed on
   the next read outside a transaction.
 
@@ -447,15 +447,10 @@ class _TableDelta:
             ("delta", name, seq),
             lambda: [(row, (rid,)) for row, rid in added],
         )
-
-        def full() -> list:
-            if change.rows is not None:
-                return _leaf_rows(change.rows, change.ids)
-            # Append-only: the new state is the previous one plus the tail.
-            rows, _, ids = change.previous
-            return _leaf_rows(rows, ids) + _leaf_rows(*change.tail)
-
-        self.full = _LeafState(("full", name, change.version), full)
+        self.full = _LeafState(
+            ("full", name, change.version),
+            partial(_leaf_rows, change.rows, change.ids),
+        )
 
         def sub() -> list:
             added_ids = {rid for _, rid in added}
@@ -565,13 +560,12 @@ class MatviewMaintainer:
         if not entry.delta_safe or program is None or entry.source_ids is None:
             return "not delta-safe"
         catalog = self.catalog
-        if any(by_name[name].written is None for name in relevant):
-            return "coarse write"
         for name in entry.base_tables:
             change = by_name.get(name)
             state = change.previous if change else catalog.table(name).table._state
             if entry.base_versions.get(name) != state[1]:
-                # Something bypassed maintenance (e.g. a direct install):
+                # A base commit landed that maintenance did not follow
+                # (e.g. between a refresh's recompute and its install):
                 # the stored rows no longer track the bases.
                 return "version skew"
         heap = entry.table

@@ -3,37 +3,42 @@
 Perm computes provenance inside a real DBMS — one where provenance
 queries run against a *stable snapshot* while other sessions commit
 updates underneath them. This module gives the reproduction that
-property with the copy-on-write flavor of MVCC:
+property with the copy-on-write flavor of MVCC, resting on one
+invariant: **an installed state is never mutated.**
 
 * Each :class:`~repro.storage.table.HeapTable` holds its latest
   **committed state** as a single ``(rows, version, row_ids)`` triple.
-  The rows list of a committed state is never mutated again — every
-  committed mutation installs a *new* list — so a reference to it is a
-  stable snapshot of that table for free. ``row_ids`` is a parallel
-  list of hidden, process-globally unique row identities that survive
-  updates: the same logical row keeps its id across any number of
-  ``UPDATE``\\ s, which is what row-level conflict detection keys on.
+  Neither list of an installed state is ever written again — every
+  commit installs new lists — so a reference to the triple is a stable
+  snapshot of that table for free, and whoever is handed a superseded
+  state (a snapshot, the commit hooks, version history) may keep it as
+  long as it likes. ``row_ids`` is a parallel list of hidden,
+  process-globally unique row identities that survive updates: the same
+  logical row keeps its id across any number of ``UPDATE``\\ s, which is
+  what row-level conflict detection keys on.
 
-* A :class:`Transaction` captures, at ``BEGIN``, the committed state of
-  every table (one atomic cut, taken under the manager lock). Reads
-  inside the transaction resolve against that snapshot; the first write
-  to a table makes a private **working copy** (copy-on-write) that only
-  this transaction sees. The working copy accumulates the transaction's
-  **row-level write set**: the ids of committed rows it updated (to new
-  content) or deleted. Freshly inserted rows get fresh ids and are
-  never part of the write set — two inserters can never conflict.
+* Every row write goes through a :class:`Transaction` (the connection
+  wraps an autocommit statement in a one-shot one). It captures, at
+  ``BEGIN``, the committed state of every table (one atomic cut, taken
+  under the manager lock). Reads inside the transaction resolve against
+  that snapshot; the first write to a table makes a private **working
+  copy** — a statement's replacement lists, or one copy of the
+  snapshot's lists before the first append — that no other holder can
+  see. The working copy accumulates the transaction's **row-level write
+  set**: the ids of committed rows it updated (to new content) or
+  deleted. Freshly inserted rows get fresh ids and are never part of
+  the write set — two inserters can never conflict.
 
 * ``COMMIT`` re-checks, under the manager lock, whether another
   transaction committed a written table since this one's snapshot. If
-  nothing intervened the working copy installs directly (the cheap,
-  common path). Otherwise conflicts are resolved at **row granularity**
-  (first-committer-wins per row): the table keeps a short history of
-  committed write sets, and the commit aborts with
+  nothing intervened the working copy's own lists install as they stand
+  (the cheap, common path). Otherwise conflicts are resolved at **row
+  granularity** (first-committer-wins per row): the table keeps a short
+  history of committed write sets, and the commit aborts with
   :class:`~repro.errors.SerializationError` only if this transaction's
-  write set overlaps a row someone else wrote after its snapshot — or
-  if either side performed a coarse (whole-table / non-transactional)
-  write. Disjoint-row commits *merge*: the transaction's per-row
-  effects are replayed onto the current committed state, so two
+  write set overlaps a row someone else wrote after its snapshot.
+  Disjoint-row commits *merge*: the transaction's per-row effects are
+  replayed onto the current committed state, into new lists, so two
   transactions updating different rows of one table both succeed.
 
 * **One change record per commit**: the hooks that follow a commit (the
@@ -74,7 +79,8 @@ Isolation level: **snapshot isolation** (Postgres would call it
 REPEATABLE READ). Write skew between transactions whose write sets touch
 different rows is possible, exactly as under SI. DDL (CREATE/DROP) is
 non-transactional; the connection layer rejects it inside an explicit
-transaction.
+transaction. The one state installed outside a transaction is a
+materialized view's recomputed contents, which no transaction writes.
 """
 
 from __future__ import annotations
@@ -200,9 +206,9 @@ def activate(txn: "Transaction") -> _Activation:
 
 class HistoryEntry:
     """One committed write of a table: the commit sequence number, the
-    row-level write set (``None`` for a coarse whole-table write), and
-    the committed state this write superseded (held until GC proves no
-    live snapshot can reach it)."""
+    row-level write set (``None`` for a materialized view's
+    maintainer-built contents), and the committed state this write
+    superseded (held until GC proves no live snapshot can reach it)."""
 
     __slots__ = ("seq", "written", "superseded")
 
@@ -223,136 +229,62 @@ class HistoryEntry:
 
 
 class _Working:
-    """A transaction's private view of one table's rows (plus their ids
-    and the accumulated row-level write set).
+    """A transaction's private state of one table: ``rows`` and their
+    ``ids``, the stamp naming them, and the accumulated row-level write
+    set.
 
-    Starts in *overlay* mode — the snapshot base list (never copied)
-    plus appended rows — so an INSERT-only transaction costs O(rows
-    inserted), not O(table). The full copy is materialized only when
-    something actually needs it: a read of the table inside the
-    transaction, or an UPDATE/DELETE (which replace the row list
-    wholesale anyway). Commit installs ``final_state()`` — at most one
-    copy per table per transaction."""
+    ``owned`` says whether the lists are this working copy's alone. A
+    fresh working copy starts on the snapshot's lists and a restored
+    savepoint on the saved ones — both seen by another holder — so the
+    first append copies them, once; a statement that replaces the rows
+    hands over new lists, which the working copy then owns. Nothing ever
+    writes into a list another holder can see, and commit installs the
+    lists as they stand."""
 
-    __slots__ = (
-        "_base",
-        "_base_ids",
-        "_extra",
-        "_extra_ids",
-        "_rows",
-        "_ids",
-        "_base_is_snapshot",
-        "version",
-        "written",
-        "inserted",
-        "coarse",
-    )
+    __slots__ = ("rows", "ids", "owned", "version", "written", "inserted")
 
     def __init__(
         self,
-        base: list["Row"],
-        base_ids: list[int],
+        rows: list["Row"],
+        ids: list[int],
         version: int,
-        base_is_snapshot: bool = True,
+        written: Iterable[int] = (),
+        inserted: Iterable[int] = (),
     ):
-        self._base: Optional[list["Row"]] = base
-        self._base_ids: Optional[list[int]] = base_ids
-        # Whether the base lists *are* the transaction's snapshot of the
-        # table (false after a savepoint restore, whose base is the
-        # saved mid-transaction rows) — the condition under which the
-        # overlay's extra rows alone describe the delta vs the snapshot.
-        self._base_is_snapshot = base_is_snapshot
-        self._extra: list["Row"] = []
-        self._extra_ids: list[int] = []
-        self._rows: Optional[list["Row"]] = None
-        self._ids: Optional[list[int]] = None
+        self.rows = rows
+        self.ids = ids
+        self.owned = False
         self.version = version
         # Ids of committed rows this transaction updated (to different
         # content) or deleted — the row-level write set. Fresh inserts
         # are never in it.
-        self.written: set[int] = set()
+        self.written: set[int] = set(written)
         # Ids of every row this transaction appended, ascending (some
         # may since have been deleted again) — with ``written``, the
         # write set the commit's :class:`CommitChange` carries.
-        self.inserted: list[int] = []
-        # A whole-table operation (truncate) that must keep
-        # table-granularity conflicts.
-        self.coarse = False
+        self.inserted: list[int] = list(inserted)
 
-    def append(self, rows: Sequence["Row"], ids: Sequence[int]) -> None:
-        self.inserted.extend(ids)
-        if self._rows is not None:
-            self._rows.extend(rows)
-            assert self._ids is not None
-            self._ids.extend(ids)
+    def append(self, rows: list["Row"], ids: list[int]) -> None:
+        if self.owned:
+            self.rows.extend(rows)
+            self.ids.extend(ids)
         else:
-            self._extra.extend(rows)
-            self._extra_ids.extend(ids)
+            # The one copy, made by concatenation (a single exact-size
+            # allocation; copy-then-extend costs twice as much).
+            self.rows, self.ids = self.rows + rows, self.ids + ids
+            self.owned = True
+        self.inserted.extend(ids)
 
-    def replace(self, rows: list["Row"], ids: list[int]) -> None:
-        self._rows = rows
-        self._ids = ids
-        self._base = None
-        self._base_ids = None
-        self._extra = []
-        self._extra_ids = []
+    def replace(self, rows: list["Row"], ids: list[int], written: Iterable[int]) -> None:
+        self.rows, self.ids, self.owned = rows, ids, True
+        self.written.update(written)
 
-    def visible(self) -> list["Row"]:
-        if self._rows is None:
-            assert self._base is not None and self._base_ids is not None
-            self._rows = self._base + self._extra
-            self._ids = self._base_ids + self._extra_ids
-            self._base = None
-            self._base_ids = None
-            self._extra = []
-            self._extra_ids = []
-        return self._rows
-
-    def visible_ids(self) -> list[int]:
-        self.visible()
-        assert self._ids is not None
-        return self._ids
-
-    def final_state(self, in_place: bool = False) -> tuple[list["Row"], list[int]]:
-        """The (rows, ids) to install at commit (materializes at most
-        once).
-
-        ``in_place=True`` — only legal when the caller has proven no
-        other live snapshot references the base lists (no other active
-        transaction, no retained history) — extends the base directly
-        instead of copying, so a solo append-only commit is O(rows
-        appended), not O(table)."""
-        if self._rows is not None:
-            assert self._ids is not None
-            return self._rows, self._ids
-        assert self._base is not None and self._base_ids is not None
-        if in_place:
-            self._base.extend(self._extra)
-            self._base_ids.extend(self._extra_ids)
-            return self._base, self._base_ids
-        return self._base + self._extra, self._base_ids + self._extra_ids
-
-    def pending_append(self) -> Optional[tuple[list["Row"], list[int]]]:
-        """The (rows, ids) appended on top of the snapshot, if this
-        working copy is still a pure snapshot overlay — the ``tail`` of
-        an append-only :class:`CommitChange` (``None`` once
-        materialized, replaced, or rebased onto a savepoint)."""
-        if self._rows is None and self._base_is_snapshot:
-            assert not self.written and not self.coarse
-            return self._extra, self._extra_ids
-        return None
-
-    def save(self) -> tuple[list["Row"], list[int], int, set[int], list[int], bool]:
-        """Snapshot for SAVEPOINT (independent copies of the mutable
-        lists; the row tuples themselves are immutable)."""
-        return (
-            list(self.visible()),
-            list(self.visible_ids()),
-            self.version,
-            set(self.written),
-            list(self.inserted),
-            self.coarse,
-        )
+    def fork(self) -> "_Working":
+        """A copy sharing this one's lists — what SAVEPOINT keeps and
+        what ROLLBACK TO resumes from. Neither side owns the lists any
+        more, so whichever appends next copies them first."""
+        self.owned = False
+        return _Working(self.rows, self.ids, self.version, self.written, self.inserted)
 
 
 def _position(ids: Sequence[int], rid: int) -> Optional[int]:
@@ -447,14 +379,12 @@ class CommitChange:
     ``written`` and ``inserted`` are the write set exactly as the
     transaction accumulated it: ids of rows of ``previous`` it updated
     or deleted, and ids of the rows it appended (ascending; some may
-    have been deleted again). ``written is None`` marks a coarse write
-    (``TRUNCATE``, maintainer-built view contents) that only the full
-    state describes. ``rows``/``ids`` are the complete new state —
-    except for an append-only commit, where they are ``None`` and
-    ``tail`` holds just the appended ``(rows, ids)``: the new state,
-    ``previous`` plus the tail, is built at install so a solo commit can
-    extend the committed lists in place. :meth:`resolve` is how every
-    consumer reads the change.
+    have been deleted again). ``written is None`` only for a
+    materialized view's maintainer-built contents, which carry their own
+    log record. ``previous`` is the committed state the change
+    supersedes and ``rows``/``ids`` the complete new state: both are
+    installed states, never mutated, so a hook may keep either.
+    :meth:`resolve` is how every consumer reads the change.
     """
 
     __slots__ = (
@@ -465,7 +395,6 @@ class CommitChange:
         "ids",
         "written",
         "inserted",
-        "tail",
         "_resolved",
     )
 
@@ -474,11 +403,10 @@ class CommitChange:
         table: "HeapTable",
         previous: tuple[list["Row"], int, list[int]],
         version: int,
-        rows: Optional[list["Row"]],
-        ids: Optional[list[int]],
+        rows: list["Row"],
+        ids: list[int],
         written: Optional[Collection[int]],
         inserted: Sequence[int] = (),
-        tail: Optional[tuple[list["Row"], list[int]]] = None,
     ):
         self.table = table
         self.previous = previous
@@ -487,17 +415,18 @@ class CommitChange:
         self.ids = ids
         self.written = written
         self.inserted = inserted
-        self.tail = tail
         self._resolved = None
 
     def resolve(
         self,
     ) -> tuple[list[int], list[tuple[int, "Row"]], list[tuple[int, "Row"]]]:
         """The change as rows (see :func:`resolve_write_set`), computed
-        once per commit however many hooks ask. Not for coarse changes."""
+        once per commit however many hooks ask. Not for a view's
+        maintainer-built contents."""
         if self._resolved is None:
-            rows, ids = (self.rows, self.ids) if self.tail is None else self.tail
-            self._resolved = resolve_write_set(self.written, self.inserted, rows, ids)
+            self._resolved = resolve_write_set(
+                self.written, self.inserted, self.rows, self.ids
+            )
         return self._resolved
 
 
@@ -522,8 +451,8 @@ class Transaction:
         self.begin_seq = begin_seq
         self._snapshot = snapshot
         self._working: dict["HeapTable", _Working] = {}
-        # Stack of (savepoint name, saved working state per written table).
-        self._savepoints: list[tuple[str, dict["HeapTable", tuple]]] = []
+        # Stack of (savepoint name, saved working copy per written table).
+        self._savepoints: list[tuple[str, dict["HeapTable", _Working]]] = []
 
     # -- status --------------------------------------------------------
     @property
@@ -547,7 +476,7 @@ class Transaction:
     def visible_rows(self, table: "HeapTable") -> list["Row"]:
         working = self._working.get(table)
         if working is not None:
-            return working.visible()
+            return working.rows
         return self._base(table)[0]
 
     def visible_version(self, table: "HeapTable") -> int:
@@ -559,7 +488,7 @@ class Transaction:
     def visible_ids(self, table: "HeapTable") -> list[int]:
         working = self._working.get(table)
         if working is not None:
-            return working.visible_ids()
+            return working.ids
         return self._base(table)[2]
 
     def committed_view(
@@ -581,40 +510,33 @@ class Transaction:
             self._working[table] = working
         return working
 
-    def append_rows(self, table: "HeapTable", rows: Sequence["Row"]) -> list[int]:
+    def append_rows(self, table: "HeapTable", rows: list["Row"]) -> None:
+        """Append *rows* under fresh row ids."""
         self._check_active()
         working = self._working_for(table)
-        ids = new_row_ids(len(rows))
-        working.append(rows, ids)
+        working.append(rows, new_row_ids(len(rows)))
         working.version = next_stamp()
-        return ids
 
     def replace_rows(
         self,
         table: "HeapTable",
         rows: list["Row"],
         ids: list[int],
-        written: Iterable[int] = (),
-        coarse: bool = False,
+        written: Iterable[int],
     ) -> None:
-        """Install a full replacement of the table's visible rows.
-        *written* are the ids of pre-existing rows this statement
-        updated or deleted (the row-level write set contribution);
-        *coarse* marks a whole-table operation that must conflict with
-        any concurrent commit of the table."""
+        """Replace the table's visible rows with the new lists *rows* and
+        *ids* (the working copy keeps them). *written* are the ids of
+        pre-existing rows this statement updated or deleted (the
+        row-level write set contribution)."""
         self._check_active()
         working = self._working_for(table)
-        working.replace(rows, ids)
-        working.written.update(written)
-        working.coarse = working.coarse or coarse
+        working.replace(rows, ids, written)
         working.version = next_stamp()
 
     # -- savepoints ----------------------------------------------------
     def savepoint(self, name: str) -> None:
         self._check_active()
-        saved = {
-            table: working.save() for table, working in self._working.items()
-        }
+        saved = {table: working.fork() for table, working in self._working.items()}
         self._savepoints.append((name.lower(), saved))
 
     def _find_savepoint(self, name: str) -> int:
@@ -631,24 +553,18 @@ class Transaction:
         index = self._find_savepoint(name)
         saved = self._savepoints[index][1]
         for table in list(self._working):
-            state = saved.get(table)
-            if state is None:
+            kept = saved.get(table)
+            if kept is None:
                 # First written after the savepoint: back to the snapshot.
                 del self._working[table]
             else:
-                # The saved rows become the restored working's base —
-                # safe without a copy because a _Working never mutates
-                # its base, so rolling back to this savepoint again
-                # later still sees them untouched. The stamp is restored
-                # exactly: the content is bit-identical to what that
-                # stamp named, so statistics and plan deps recorded
-                # against it become valid again.
-                rows, ids, version, written, inserted, coarse = state
-                restored = _Working(rows, ids, version, base_is_snapshot=False)
-                restored.written = set(written)
-                restored.inserted = list(inserted)
-                restored.coarse = coarse
-                self._working[table] = restored
+                # Resume from a fork of the saved copy, so rolling back
+                # to this savepoint again later still finds its lists
+                # untouched. The stamp is restored exactly: the content
+                # is bit-identical to what that stamp named, so
+                # statistics and plan deps recorded against it become
+                # valid again.
+                self._working[table] = kept.fork()
         del self._savepoints[index + 1 :]
 
     def release(self, name: str) -> None:
@@ -669,21 +585,14 @@ class Transaction:
             "retry the transaction)"
         )
 
-    def _concurrent_write_set(
-        self, table: "HeapTable"
-    ) -> Optional[set[int]]:
+    def _concurrent_write_set(self, table: "HeapTable") -> set[int]:
         """Row ids committed to *table* after this transaction's
-        snapshot, from the table's write history. ``None`` means some
-        concurrent write was coarse (or non-transactional), forcing a
-        table-granularity conflict."""
-        if table._coarse_seq > self.begin_seq:
-            return None
+        snapshot, from the table's write history (every commit of a
+        table a transaction can write carries its write set)."""
         others: set[int] = set()
         for entry in reversed(table._history):
             if entry.seq <= self.begin_seq:
                 break
-            if entry.written is None:
-                return None
             others.update(entry.written)
         return others
 
@@ -699,7 +608,7 @@ class Transaction:
         # A row this transaction inserted *and* wrote again resolves as
         # a plain insert, so only snapshot rows count as written.
         deleted, updated, inserted = resolve_write_set(
-            working.written, working.inserted, *working.final_state()
+            working.written, working.inserted, working.rows, working.ids
         )
         written = frozenset(deleted).union(rid for rid, _ in updated)
         cur_rows, _, cur_ids = table._state
@@ -724,13 +633,13 @@ class Transaction:
         """Install every working copy as the new committed state.
 
         Fast path: no other transaction committed a written table since
-        this one's snapshot — the working copy installs directly (its
-        stamp is reused, so plans prepared inside the transaction stay
-        valid). Otherwise row-level first-committer-wins applies: the
-        commit aborts with :class:`SerializationError` iff this
-        transaction's write set overlaps a row committed after its
-        snapshot (or either side wrote coarsely); disjoint-row commits
-        merge onto the current state under a fresh stamp."""
+        this one's snapshot — the working copy's lists install as they
+        stand (its stamp is reused, so plans prepared inside the
+        transaction stay valid). Otherwise row-level first-committer-wins
+        applies: the commit aborts with :class:`SerializationError` iff
+        this transaction's write set overlaps a row committed after its
+        snapshot; disjoint-row commits merge onto the current state under
+        a fresh stamp."""
         self._check_active()
         manager = self.manager
         if not self._working:
@@ -742,12 +651,7 @@ class Transaction:
             for table, working in self._working.items():
                 if table._state[1] == self._snapshot[table][1]:
                     continue  # nothing intervened: plain install below
-                if working.coarse:
-                    raise self._abort(table, "whole-table write")
-                others = self._concurrent_write_set(table)
-                if others is None:
-                    raise self._abort(table, "concurrent whole-table write")
-                overlap = working.written & others
+                overlap = working.written & self._concurrent_write_set(table)
                 if overlap:
                     raise self._abort(
                         table, f"write-write overlap on {len(overlap)} row(s)"
@@ -757,19 +661,12 @@ class Transaction:
                     raise self._abort(table, "written row vanished")
                 merges[table] = merged
             seq = next_commit_seq()
-            # Snapshot holders are exactly the live transactions; with
-            # none but us and no retained history, append-only tables
-            # may extend the committed list in place (their old stamp
-            # becomes permanently unmatchable, so every stamp-keyed
-            # cache revalidates).
-            solo = manager.is_solo(self)
             # Stage every table's change record *before* installing any
             # of it, so the hooks see the complete commit while no table
             # has changed yet (log -> make durable -> install).
-            pending: list[tuple[Optional[_Working], CommitChange]] = []
+            changes: list[CommitChange] = []
             for table, working in self._working.items():
                 merged = merges.get(table)
-                tail = None
                 if merged is not None:
                     # Merged content includes other transactions' rows:
                     # it is a state no stamp has ever named, so it gets
@@ -781,20 +678,11 @@ class Transaction:
                     # content, so it is reused: plans prepared inside
                     # the transaction against its final state stay
                     # valid after the commit.
-                    version = working.version
-                    written = None if working.coarse else frozenset(working.written)
-                    inserted = working.inserted
-                    tail = working.pending_append()
-                    if tail is not None:
-                        # Append-only: keep the overlay unmaterialized
-                        # so the install below may extend in place.
-                        rows = ids = None
-                    else:
-                        rows, ids = working.final_state()
-                change = CommitChange(
-                    table, table._state, version, rows, ids, written, inserted, tail
+                    rows, ids, version = working.rows, working.ids, working.version
+                    written, inserted = frozenset(working.written), working.inserted
+                changes.append(
+                    CommitChange(table, table._state, version, rows, ids, written, inserted)
                 )
-                pending.append((working, change))
             finalize_matviews = None
             if manager.matview_maintainer is not None:
                 # Materialized-view maintenance: derive the views' share
@@ -803,14 +691,12 @@ class Transaction:
                 # one atomic unit. The returned finalizer (catalog
                 # bookkeeping) runs only after everything installs.
                 maintained, finalize_matviews = manager.matview_maintainer(
-                    seq, [change for _, change in pending]
+                    seq, list(changes)
                 )
-                # No user transaction ever writes a view's heap, so the
-                # maintainer's changes are coarse: conservative and safe.
-                pending.extend((None, change) for change in maintained)
+                changes.extend(maintained)
             if manager.on_commit is not None:
                 try:
-                    manager.on_commit(seq, [change for _, change in pending])
+                    manager.on_commit(seq, changes)
                 except BaseException:
                     # The commit record never became durable: abort with
                     # no state installed (the transaction is over either
@@ -820,13 +706,8 @@ class Transaction:
                     self._savepoints.clear()
                     manager.retire(self)
                     raise
-            for working, change in pending:
+            for change in changes:
                 table = change.table
-                rows, ids = change.rows, change.ids
-                if rows is None:
-                    rows, ids = working.final_state(
-                        in_place=solo and not table._history
-                    )
                 if change.written is not None:
                     table._log_delta(
                         change.previous[1],
@@ -834,7 +715,7 @@ class Transaction:
                         change.written,
                         change.inserted,
                     )
-                table._state = (rows, change.version, ids)
+                table._state = (change.rows, change.version, change.ids)
                 table._history.append(
                     HistoryEntry(seq, change.written, change.previous)
                 )
@@ -895,8 +776,7 @@ class TransactionManager:
         ] = None
         # Live (active) transactions — i.e. the set of live snapshots.
         # Weak, so a session abandoned without commit/rollback cannot
-        # pin the version history (or the in-place append optimization)
-        # off forever.
+        # pin the version history forever.
         self._active: "weakref.WeakSet[Transaction]" = weakref.WeakSet()
         # GC telemetry (guarded by self.lock).
         self._gc_runs = 0
@@ -921,11 +801,6 @@ class TransactionManager:
         with self.lock:
             self._active.discard(txn)
             self.collect()
-
-    def is_solo(self, txn: Transaction) -> bool:
-        """Whether *txn* is the only live transaction (call under the
-        manager lock, from its commit)."""
-        return all(other is txn for other in self._active)
 
     # -- version garbage collection ------------------------------------
     def horizon(self) -> int:

@@ -10,13 +10,14 @@ vocabulary (:mod:`repro.storage.wal` frames both)::
 ``wal.log`` holds what happened since the checkpoint: row-level commit
 deltas stamped with their MVCC commit version — each one the commit's
 own :class:`~repro.storage.mvcc.CommitChange` resolved to rows, never a
-comparison of table states — full states (``direct``) for coarse and
-non-transactional writes, and DDL records. ``snapshot.log`` says the
-same things about the state *at* the checkpoint, in the records the
-logging hooks would have written had the database been built that
-instant: a ``checkpoint`` header (format, catalog version, and the
-counter fields every record carries — its ``seq`` is the checkpoint's),
-then ``create_table`` + ``direct`` per table, ``create_view`` per view,
+comparison of table states — full states (``direct``) for a
+materialized view's recomputed contents, and DDL records.
+``snapshot.log`` says the same things about the state *at* the
+checkpoint, in the records the logging hooks would have written had
+the database been built that instant: a ``checkpoint`` header (format,
+catalog version, and the counter fields every record carries — its
+``seq`` is the checkpoint's), then ``create_table`` + ``direct`` per
+table, ``create_view`` per view,
 ``create_matview`` + ``direct`` + ``matview_fresh`` (+ ``matview_stale``)
 per materialized view, and the header once more as the closing frame.
 Every record kind has one builder, shared by the hook that logs it and
@@ -398,6 +399,8 @@ class PersistentStore:
                 new_rows.insert(index, _decode_row(row))
                 new_ids.insert(index, rid)
         elif "state" in delta:
+            # A full-state commit delta: no longer written (every commit
+            # carries a row-level write set), still read in older logs.
             new_rows = [_decode_row(row) for row in delta["state"]["rows"]]
             new_ids = list(delta["state"]["ids"])
         else:
@@ -414,7 +417,7 @@ class PersistentStore:
         database.catalog.observer = self
         database.manager.on_commit = self._on_commit
         database.manager.on_commit_complete = self._maybe_checkpoint
-        for entry in database.catalog.tables + database.catalog.matviews:
+        for entry in database.catalog.matviews:
             entry.table.on_direct_install = self._on_direct_install
 
     # ------------------------------------------------------------------
@@ -465,14 +468,8 @@ class PersistentStore:
                 "base_versions": dict(wal_delta.get("base_versions", {})),
             }
             return delta
-        if change.written is None:
-            # Whole-table writes (TRUNCATE) have no meaningful row
-            # delta: log the full replacement state.
-            delta["state"] = {
-                "rows": [_encode_row(row) for row in change.rows],
-                "ids": list(change.ids),
-            }
-            return delta
+        # A base-table commit: its row-level write set, resolved to rows
+        # (no-WHERE DELETEs included — every committed row is written).
         deleted, updated, inserted = change.resolve()
         for key, pairs in (("insert", inserted), ("update", updated)):
             if pairs:
@@ -489,13 +486,12 @@ class PersistentStore:
         rows: list["Row"],
         ids: list[int],
     ) -> None:
-        """Non-transactional writes carry no write set; log the full
-        replacement state."""
+        """A materialized view's recomputed contents, installed outside
+        any transaction: log the full state."""
         self._log(_direct_record(table.name, rows, version, ids), seq)
 
     # -- catalog observer (DDL is non-transactional) --------------------
     def on_create_table(self, entry: "TableEntry") -> None:
-        entry.table.on_direct_install = self._on_direct_install
         self._log(_create_table_record(entry))
 
     def on_drop_relation(self, relation: str, name: str) -> None:
@@ -601,7 +597,7 @@ class PersistentStore:
                 database.catalog.observer = None
                 database.manager.on_commit = None
                 database.manager.on_commit_complete = None
-                for entry in database.catalog.tables + database.catalog.matviews:
+                for entry in database.catalog.matviews:
                     entry.table.on_direct_install = None
             wal, self._wal = self._wal, None
             if wal is not None:

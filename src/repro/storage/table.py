@@ -6,25 +6,30 @@ is the mutable stored form; :class:`Relation` is the immutable
 query-result form returned by the executor and consumed by clients and
 the Perm browser.
 
-Storage is multi-versioned (:mod:`repro.storage.mvcc`): a table's
-committed state is a single ``(rows, version, row_ids)`` tuple whose
-rows list is never mutated after being installed, so holding a reference
-to it *is* a snapshot. ``row_ids`` is a parallel list of hidden,
-process-globally unique row identities: a logical row keeps its id
-across updates, which is what lets transactions detect write-write
-conflicts at row granularity (two transactions updating *different*
-rows of one table both commit). ``rows`` and ``version`` are properties
-that resolve through the thread's active transaction — inside a
-transaction they return the snapshot (or this transaction's private
-working copy); outside they return the latest committed state.
-``version`` stamps are globally unique per distinct state (see
+Storage is multi-versioned (:mod:`repro.storage.mvcc`) around one
+invariant: **an installed state is never mutated.** A table's committed
+state is a single ``(rows, version, row_ids)`` tuple whose lists nobody
+writes into once it is installed, so holding a reference to it *is* a
+snapshot. ``row_ids`` is a parallel list of hidden, process-globally
+unique row identities: a logical row keeps its id across updates, which
+is what lets transactions detect write-write conflicts at row
+granularity (two transactions updating *different* rows of one table
+both commit). ``rows`` and ``version`` are properties that resolve
+through the thread's active transaction — inside a transaction they
+return the snapshot (or this transaction's private working copy);
+outside they return the latest committed state. ``version`` stamps are
+globally unique per distinct state (see
 :func:`repro.storage.mvcc.next_stamp`), which is what lets cached
 statistics, the optimizer's recorded uniqueness deps and the SQLite
 mirror key on snapshot identity.
 
-Every mutator is **atomic**: the new row list is staged completely
-(all predicate evaluation and value coercion up front) and applied in a
-single reference swap — an error mid-scan leaves the table untouched.
+Every mutator runs inside the thread's active transaction (outside one
+it raises :class:`~repro.errors.ProgrammingError`) and is **atomic**:
+the new rows are staged completely (all predicate evaluation and value
+coercion up front) and handed to the transaction in one step — an error
+mid-scan leaves the table untouched. The one state installed outside a
+transaction is a materialized view's recomputed contents
+(:meth:`HeapTable._install_direct`).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from ..catalog.schema import Schema
 from ..datatypes import Value, cast_value, format_value, type_of_value, SQLType
-from ..errors import CatalogError
+from ..errors import CatalogError, ProgrammingError
 from . import mvcc
 
 Row = tuple[Value, ...]
@@ -52,16 +57,12 @@ class HeapTable:
         self.schema = schema
         # Latest committed (rows, version, row_ids). Swapped as one
         # tuple so a concurrent snapshot capture never pairs new rows
-        # with an old stamp. The lists inside are treated as immutable
-        # once installed.
+        # with an old stamp. The lists inside are never written once
+        # installed.
         self._state: tuple[list[Row], int, list[int]] = ([], mvcc.next_stamp(), [])
         # Committed-write history for row-level conflict checks; trimmed
         # by the manager's version GC up to the live-snapshot horizon.
         self._history: list[mvcc.HistoryEntry] = []
-        # Commit sequence of the last *non-transactional* write (those
-        # bypass the history and conflict coarsely with any transaction
-        # whose snapshot predates them).
-        self._coarse_seq = 0
         # Durability hook for non-transactional installs (set by
         # repro.storage.persist on persistent databases): called with
         # (table, seq, version, rows, ids) before the state swaps in.
@@ -125,18 +126,11 @@ class HeapTable:
         state = self._state
         return state[0], state[2]
 
-    def _install_direct(
-        self,
-        rows: list[Row],
-        ids: list[int],
-        written: Optional[Collection[int]] = None,
-        appended: Sequence[int] = (),
-    ) -> None:
-        """Install a new committed state outside any transaction. Such
-        writes carry no row-level write set, so they conflict coarsely:
-        any open transaction that also wrote this table will abort.
-        *written*/*appended* describe the change for the delta log
-        (``written=None``: a wholesale replacement, not logged)."""
+    def _install_direct(self, rows: list[Row], ids: list[int]) -> None:
+        """Install new lists as the committed state outside any
+        transaction — a materialized view's wholesale contents (CREATE
+        and REFRESH), a table no transaction writes. Not delta-logged:
+        a reader of :meth:`changes_since` reloads."""
         version = mvcc.next_stamp()
         if self.on_direct_install is not None:
             # Write-ahead: the record must be durable before the state
@@ -144,40 +138,16 @@ class HeapTable:
             self.on_direct_install(
                 self, mvcc.next_commit_seq(), version, rows, ids
             )
-        if written is not None:
-            self._log_delta(self._state[1], version, written, appended)
         self._state = (rows, version, ids)
-        # Allocated *after* the install so a transaction beginning in
-        # between (whose snapshot misses this write) is ordered before
-        # it and conflicts coarsely, exactly as without a hook.
-        self._coarse_seq = mvcc.next_commit_seq()
 
-    def _append(self, rows: list[Row]) -> None:
+    def _writer(self) -> "mvcc.Transaction":
+        """The transaction every row write goes through."""
         txn = mvcc.current_transaction()
-        if txn is not None:
-            txn.append_rows(self, rows)
-        else:
-            committed, _, committed_ids = self._state
-            new_ids = mvcc.new_row_ids(len(rows))
-            self._install_direct(
-                committed + rows, committed_ids + new_ids, (), new_ids
+        if txn is None:
+            raise ProgrammingError(
+                f"cannot write table {self.name!r} outside a transaction"
             )
-
-    def _apply(
-        self,
-        rows: list[Row],
-        ids: list[int],
-        written: Iterable[int],
-        coarse: bool = False,
-    ) -> None:
-        """Install a full replacement of the visible rows. *written* are
-        the identities of pre-existing rows this statement updated or
-        deleted; *coarse* marks a whole-table operation."""
-        txn = mvcc.current_transaction()
-        if txn is not None:
-            txn.replace_rows(self, rows, ids, written, coarse)
-        else:
-            self._install_direct(rows, ids, None if coarse else list(written))
+        return txn
 
     # -- delta log ------------------------------------------------------
     def _log_delta(
@@ -189,10 +159,10 @@ class HeapTable:
     ) -> None:
         """Record that state *base* became state *version* by updating or
         deleting the rows *written* and appending the rows *appended*
-        (ids, ascending). Called just before the new state installs, by
-        whoever swaps ``_state``; a transition nobody logs (coarse write,
-        recovery, matview maintenance) simply breaks the chain, which
-        :meth:`changes_since` reports as ``None``."""
+        (ids, ascending). Called by the commit just before the new state
+        installs; a transition nobody logs (a view's contents, recovery)
+        simply breaks the chain, which :meth:`changes_since` reports as
+        ``None``."""
         size = len(written) + len(appended)
         if size > DELTA_LOG_ROWS:
             self._delta_log, self._delta_logged = [], 0
@@ -275,32 +245,33 @@ class HeapTable:
     # -- DML -----------------------------------------------------------
     def insert(self, values: Sequence[Value]) -> None:
         """Insert one row, coercing values to the column types."""
-        self._append([self._coerce_row(values)])
+        self.insert_many((values,))
 
     def insert_many(self, rows: Iterable[Sequence[Value]]) -> int:
         """Insert many rows, all or none: every row is coerced before the
         first one becomes visible, so a bad row mid-batch leaves the
         table exactly as it was."""
+        txn = self._writer()
         staged = [self._coerce_row(row) for row in rows]
         if staged:
-            self._append(staged)
+            txn.append_rows(self, staged)
         return len(staged)
 
     def delete_where(self, predicate: Callable[[Row], bool]) -> int:
         """Delete rows matching *predicate*; returns the number removed.
         The predicate runs over every row before anything is applied."""
-        rows, ids = self._visible_pair()
+        txn = self._writer()
         kept_rows: list[Row] = []
         kept_ids: list[int] = []
         removed_ids: list[int] = []
-        for row, rid in zip(rows, ids):
+        for row, rid in zip(txn.visible_rows(self), txn.visible_ids(self)):
             if predicate(row):
                 removed_ids.append(rid)
             else:
                 kept_rows.append(row)
                 kept_ids.append(rid)
         if removed_ids:
-            self._apply(kept_rows, kept_ids, removed_ids)
+            txn.replace_rows(self, kept_rows, kept_ids, removed_ids)
         return len(removed_ids)
 
     def update_where(
@@ -313,11 +284,12 @@ class HeapTable:
         actually changed enter the write set (an UPDATE that rewrites a
         row to its current values cannot conflict with anything — and
         installs no new version at all if nothing changed)."""
-        rows, ids = self._visible_pair()
+        txn = self._writer()
+        ids = txn.visible_ids(self)
         matched = 0
         new_rows: list[Row] = []
         written_ids: list[int] = []
-        for row, rid in zip(rows, ids):
+        for row, rid in zip(txn.visible_rows(self), ids):
             if predicate(row):
                 matched += 1
                 new_row = self._coerce_row(updater(row))
@@ -329,13 +301,8 @@ class HeapTable:
             else:
                 new_rows.append(row)
         if written_ids:
-            self._apply(new_rows, list(ids), written_ids)
+            txn.replace_rows(self, new_rows, list(ids), written_ids)
         return matched
-
-    def truncate(self) -> None:
-        rows, ids = self._visible_pair()
-        if rows:
-            self._apply([], [], ids, coarse=True)
 
 
 class Relation:

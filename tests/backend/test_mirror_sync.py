@@ -4,7 +4,7 @@ Three parts:
 
 * a seeded fuzzer driving random DML through two sessions that share one
   :class:`~repro.engine.database.Database` (autocommit and explicit
-  transactions, savepoints, merges, conflicts, coarse writes, DDL,
+  transactions, savepoints, merges, conflicts, whole-table deletes, DDL,
   int64-boundary values, a BOOL column). After every statement, on both
   sessions' backends, ``SELECT * FROM mirror ORDER BY rowid`` must equal
   ``heap.rows`` as that session sees them. A failing seed's op log is
@@ -167,13 +167,7 @@ class Fuzzer:
                 self.run(who, f"SAVEPOINT sp{self.savepoints[who]}")
                 self.savepoints[who] += 1
         elif choice < 0.89:
-            if rng.random() < 0.5:
-                self.run(who, "DELETE FROM t")  # row-level: every id written
-            else:
-                # HeapTable.truncate: a coarse write with no write set.
-                self.log.append(f"s{who}: truncate t")
-                heap = conn.catalog.scan_entry("t").table
-                conn._in_transaction(heap.truncate)
+            self.run(who, "DELETE FROM t")  # row-level: every id written
             rows = ", ".join(self.fresh_row() for _ in range(rng.randrange(20, 40)))
             self.run(who, f"INSERT INTO t VALUES {rows}")
         elif choice < 0.92 and not any(s.in_transaction for s in self.sessions):
@@ -245,16 +239,18 @@ def test_fuzzer_exercises_deltas_and_every_reload_reason():
 
 class ChangeRecordChecker:
     """Sits around a durable database's commit hooks. Before the commit
-    installs it keeps, per table, the staged change record, a copy of
-    the state it supersedes, the WAL delta written for it and the
+    installs it keeps, per table, the staged change record (whose
+    ``previous`` is the superseded state itself, not a copy), a
+    fingerprint of that state, the WAL delta written for it and the
     maintainer's table delta; once it has installed, :meth:`verify`
-    holds all of them against the state that resulted."""
+    holds all of them against the state that resulted — and checks the
+    install left the superseded lists as they were."""
 
     def __init__(self, database: Database):
         self.store = database.storage
         self.maintainer = MatviewMaintainer(database.catalog)
         self.staged: list = []
-        self.commits = self.row_level = self.coarse = 0
+        self.commits = 0
         manager = database.manager
         durable, complete = manager.on_commit, manager.on_commit_complete
 
@@ -270,32 +266,32 @@ class ChangeRecordChecker:
         manager.on_commit = on_commit
         manager.on_commit_complete = on_commit_complete
 
+    @staticmethod
+    def fingerprint(rows, ids) -> tuple:
+        return len(rows), hash(tuple(rows)), hash(tuple(ids))
+
     def stage(self, seq, change) -> None:
-        rows, version, ids = change.previous
         wal = json.loads(json.dumps(self.store._delta_for(change)))
-        delta = None
-        if change.written is not None:
-            delta = self.maintainer._delta(change.table.name, change, seq)
-        # Copies: a solo append-only commit extends the lists in place.
-        self.staged.append((change, list(rows), version, list(ids), wal, delta))
+        delta = self.maintainer._delta(change.table.name, change, seq)
+        prev_rows, _, prev_ids = change.previous
+        self.staged.append((change, self.fingerprint(prev_rows, prev_ids), wal, delta))
 
     def verify(self) -> None:
         staged, self.staged = self.staged, []
-        for change, prev_rows, prev_version, prev_ids, wal, delta in staged:
+        for change, fingerprint, wal, delta in staged:
             self.commits += 1
             table = change.table
             rows, version, ids = table._state
             assert version == change.version
+            # An installed state is never mutated: the commit left the
+            # state it superseded exactly as the hooks were shown it.
+            prev_rows, prev_version, prev_ids = change.previous
+            assert self.fingerprint(prev_rows, prev_ids) == fingerprint
             # The WAL record replays the superseded state into the new one.
             scratch = HeapTable(table.name, table.schema)
-            scratch._state = (list(prev_rows), prev_version, list(prev_ids))
+            scratch._state = change.previous
             self.store._replay_delta(scratch, wal)
             assert scratch._state == (rows, version, ids)
-            if change.written is None:
-                self.coarse += 1
-                assert table.changes_since(prev_version) is None
-                continue
-            self.row_level += 1
             deleted, updated, inserted = change.resolve()
             # The resolved change, applied to the superseded state, is
             # the new state.
@@ -322,7 +318,7 @@ class ChangeRecordChecker:
 
 
 def test_one_change_record_feeds_wal_maintainer_and_delta_log(tmp_path):
-    row_level = coarse = 0
+    commits = 0
     for seed in range(6):
         path = str(tmp_path / f"db{seed}")
         database = Database(path=path, durability="off")
@@ -330,15 +326,14 @@ def test_one_change_record_feeds_wal_maintainer_and_delta_log(tmp_path):
             checker = ChangeRecordChecker(database)
             Fuzzer(seed, database).fuzz()
             assert not checker.staged
-            row_level += checker.row_level
-            coarse += checker.coarse
+            commits += checker.commits
             live = database.catalog.table("t").table._state
         finally:
             database.close()
         # And the log as a whole recovers exactly the live state.
         with Database(path=path) as recovered:
             assert recovered.catalog.table("t").table._state == live
-    assert row_level >= 150 and coarse >= 3
+    assert commits >= 150
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +403,9 @@ def test_each_reload_records_its_reason(pair):
     writer.execute("UPDATE t SET val = -1 WHERE id <= 20")
     synced(reader)
     assert reasons == {"first load": 1, "delta too large": 1}
-    # A coarse (whole-table) write carries no row-level write set.
-    writer._in_transaction(writer.catalog.scan_entry("t").table.truncate)
-    writer.execute(
-        "INSERT INTO t VALUES " + ", ".join(f"({i}, 0, 0, true)" for i in range(40))
-    )
+    # A commit larger than the delta log holds breaks its chain.
+    writer.execute("DELETE FROM t")
+    writer.load_rows("t", [(i, 0, 0, True) for i in range(DELTA_LOG_ROWS + 1)])
     synced(reader)
     assert reasons == {"first load": 1, "delta too large": 1, "no delta": 1}
     # A transaction's own uncommitted writes have no recorded delta ...
@@ -490,9 +483,9 @@ def test_merged_commits_reach_the_mirror_as_deltas():
         conn.close()
 
 
-def test_solo_in_place_append_is_mirrored(pair):
-    """A solo append-only commit extends the committed row list in
-    place; the mirror must still see every appended row."""
+def test_single_row_appends_reach_the_mirror_one_delta_each(pair):
+    """Autocommit single-row INSERTs, one sync after each: every one is
+    a one-row delta, never a reload."""
     writer, reader, backend = pair
     for i in range(41, 61):
         writer.execute(f"INSERT INTO t VALUES ({i}, 0, {i}, false)")

@@ -97,28 +97,28 @@ class TestCatalog:
 
 
 class TestStats:
-    def test_stats_computation(self):
+    def test_stats_computation(self, autocommit):
         catalog = Catalog()
         entry = catalog.create_table("t", schema_of(("a", T.INT), ("b", T.TEXT)))
-        entry.table.insert_many([(1, "x"), (1, None), (2, "x"), (3, "y")])
+        autocommit(entry.table.insert_many, [(1, "x"), (1, None), (2, "x"), (3, "y")])
         stats = entry.stats()
         assert stats.row_count == 4
         assert stats.column("a").n_distinct == 3
         assert stats.column("b").n_distinct == 2
         assert stats.column("b").null_fraction == 0.25
 
-    def test_stats_cache_invalidated_on_mutation(self):
+    def test_stats_cache_invalidated_on_mutation(self, autocommit):
         catalog = Catalog()
         entry = catalog.create_table("t", schema_of(("a", T.INT)))
-        entry.table.insert((1,))
+        autocommit(entry.table.insert, (1,))
         assert entry.stats().row_count == 1
-        entry.table.insert((2,))
+        autocommit(entry.table.insert, (2,))
         assert entry.stats().row_count == 2
 
-    def test_selectivity(self):
+    def test_selectivity(self, autocommit):
         catalog = Catalog()
         entry = catalog.create_table("t", schema_of(("a", T.INT)))
-        entry.table.insert_many([(i % 5,) for i in range(100)])
+        autocommit(entry.table.insert_many, [(i % 5,) for i in range(100)])
         column = entry.stats().column("a")
         assert column.selectivity_eq == pytest.approx(0.2)
 

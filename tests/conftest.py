@@ -7,6 +7,7 @@ import pytest
 
 import repro
 from repro import Connection
+from repro.storage.mvcc import TransactionManager, activate
 from repro.workloads.forum import create_forum_db
 from repro.workloads.tpch import TpchConfig, create_tpch_db
 
@@ -27,6 +28,28 @@ def forum_db() -> Connection:
 def tpch_db() -> Connection:
     """A small TPC-H-like database, shared read-only across tests."""
     return create_tpch_db(TpchConfig(customers=30, orders=120, parts=20))
+
+
+@pytest.fixture
+def autocommit():
+    """``autocommit(write, *args)`` runs a storage-level write the way a
+    connection runs an autocommit statement: in a one-shot transaction
+    that commits as *write* returns and rolls back if it raises (heap
+    tables accept writes only inside a transaction)."""
+    manager = TransactionManager(lambda: ())
+
+    def run(write, *args):
+        txn = manager.begin()
+        try:
+            with activate(txn):
+                result = write(*args)
+        except BaseException:
+            txn.rollback()
+            raise
+        txn.commit()
+        return result
+
+    return run
 
 
 def rows_set(relation):

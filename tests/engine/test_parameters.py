@@ -14,6 +14,7 @@ from repro import (
     TypeCheckError,
     connect,
 )
+from repro.backend import differential_engines
 
 
 @pytest.fixture
@@ -228,6 +229,27 @@ class TestTypeChecking:
         ):
             connection.execute(sql, params(value))
         assert connection.execute(sql, params(6)).fetchall() == [(7,)]
+
+    @pytest.mark.parametrize("engine", differential_engines())
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a FROM t WHERE ?",
+            "SELECT a FROM t WHERE CASE WHEN ? THEN true ELSE false END",
+            "SELECT t.a FROM t JOIN t u ON ? WHERE u.a = 1",
+            "SELECT a FROM t GROUP BY a HAVING ?",
+        ],
+    )
+    def test_bare_parameter_predicate_is_bool_on_every_engine(self, engine, sql):
+        """A parameter that *is* the predicate takes BOOL, so an int bound
+        there is one bind-time error — not no rows on one engine and
+        every row on another."""
+        connection = connect(engine=engine)
+        connection.execute("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2)")
+        with pytest.raises(TypeCheckError, match=r"\$1 expects bool, got int \(1\)"):
+            connection.execute(sql, (1,))
+        assert sorted(connection.execute(sql, (True,)).fetchall()) == [(1,), (2,)]
+        assert connection.execute(sql, (False,)).fetchall() == []
 
 
 class TestDMLParameters:

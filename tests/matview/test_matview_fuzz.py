@@ -1,10 +1,12 @@
 """Seeded incremental-maintenance fuzzer.
 
 Random DML — autocommit statements and multi-statement transactions
-(committed or rolled back) — runs against base tables carrying a
-delta-safe filter matview, a delta-safe join matview, a self-join (the
-changed table is also the other side), a three-way join whose first pair
-a commit often leaves alone, and a provenance-carrying one. After every
+(committed or rolled back, some rolling back to a savepoint inside) —
+runs against base tables carrying a delta-safe filter matview, a
+delta-safe join matview, a self-join (the changed table is also the
+other side), a three-way join whose first pair a commit often leaves
+alone, and a provenance-carrying one. ``REPRO_TXN_SEEDS`` widens the
+seed bank (seeds past the first 12 are ``exhaustive``). After every
 commit boundary each matview must be bit-identical (rows and order) to
 its unfolded defining query: the telescoped join deltas, removal
 intersections and provenance join-backs can never drift from
@@ -15,11 +17,15 @@ so each view's source-id tuples are sorted.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
 
 import repro
+
+SEED_COUNT = int(os.environ.get("REPRO_TXN_SEEDS", "12"))
+TIER1_SEEDS = 12
 
 MATVIEWS = {
     "mv_busy": "SELECT id, grp, qty FROM item WHERE qty >= 3",
@@ -92,7 +98,13 @@ def _assert_matviews_match(db, context: str) -> None:
     assert not any(r.startswith("error:") for r in reasons), reasons
 
 
-@pytest.mark.parametrize("seed", range(12))
+def _seeds():
+    for seed in range(SEED_COUNT):
+        marks = [pytest.mark.exhaustive] if seed >= TIER1_SEEDS else []
+        yield pytest.param(seed, marks=marks, id=str(seed))
+
+
+@pytest.mark.parametrize("seed", _seeds())
 def test_matviews_track_random_dml(seed: int):
     rng = random.Random(seed)
     db = repro.connect()
@@ -116,10 +128,19 @@ def test_matviews_track_random_dml(seed: int):
     for step in range(30):
         if rng.random() < 0.25:
             # A multi-statement transaction: its whole delta lands as
-            # one maintenance unit at COMMIT (or not at all).
+            # one maintenance unit at COMMIT (or not at all), whatever
+            # a savepoint rolled back inside it.
             db.run("BEGIN")
-            for _ in range(rng.randrange(1, 4)):
-                db.run(_random_dml(rng, next_id))
+            savepoints = 0
+            for _ in range(rng.randrange(1, 5)):
+                roll = rng.random()
+                if roll < 0.2:
+                    db.run(f"SAVEPOINT sp{savepoints}")
+                    savepoints += 1
+                elif roll < 0.3 and savepoints:
+                    db.run(f"ROLLBACK TO SAVEPOINT sp{rng.randrange(savepoints)}")
+                else:
+                    db.run(_random_dml(rng, next_id))
             if rng.random() < 0.8:
                 db.run("COMMIT")
             else:

@@ -6,63 +6,77 @@ import pytest
 
 from repro.catalog.schema import schema_of
 from repro.datatypes import SQLType as T
-from repro.errors import CatalogError
+from repro.errors import CatalogError, ProgrammingError
 from repro.storage.table import HeapTable, Relation
 
 
 @pytest.fixture
-def table():
+def table(autocommit):
     t = HeapTable("t", schema_of(("a", T.INT), ("b", T.TEXT)))
-    t.insert_many([(1, "x"), (2, "y"), (3, None)])
+    autocommit(t.insert_many, [(1, "x"), (2, "y"), (3, None)])
     return t
 
 
 class TestHeapTable:
-    def test_insert_and_len(self, table):
+    def test_insert_and_len(self, table, autocommit):
         assert len(table) == 3
-        table.insert((4, "z"))
+        autocommit(table.insert, (4, "z"))
         assert len(table) == 4
 
-    def test_arity_checked(self, table):
+    def test_arity_checked(self, table, autocommit):
         with pytest.raises(CatalogError, match="3 values"):
-            table.insert((1, "x", 9))
+            autocommit(table.insert, (1, "x", 9))
 
-    def test_coercion_int_to_float_column(self):
+    def test_coercion_int_to_float_column(self, autocommit):
         t = HeapTable("f", schema_of(("x", T.FLOAT),))
-        t.insert((1,))
+        autocommit(t.insert, (1,))
         assert t.rows[0][0] == 1.0 and isinstance(t.rows[0][0], float)
 
-    def test_coercion_text_to_int(self):
+    def test_coercion_text_to_int(self, autocommit):
         t = HeapTable("i", schema_of(("x", T.INT),))
-        t.insert(("42",))
+        autocommit(t.insert, ("42",))
         assert t.rows[0][0] == 42
 
-    def test_nulls_allowed_anywhere(self, table):
-        table.insert((None, None))
+    def test_nulls_allowed_anywhere(self, table, autocommit):
+        autocommit(table.insert, (None, None))
         assert table.rows[-1] == (None, None)
 
-    def test_delete_where(self, table):
-        removed = table.delete_where(lambda row: row[0] >= 2)
+    def test_delete_where(self, table, autocommit):
+        removed = autocommit(table.delete_where, lambda row: row[0] >= 2)
         assert removed == 2
         assert [r[0] for r in table.rows] == [1]
 
-    def test_update_where(self, table):
-        changed = table.update_where(
-            lambda row: row[1] == "x", lambda row: (row[0] + 10, row[1])
+    def test_update_where(self, table, autocommit):
+        changed = autocommit(
+            table.update_where,
+            lambda row: row[1] == "x",
+            lambda row: (row[0] + 10, row[1]),
         )
         assert changed == 1
         assert table.rows[0] == (11, "x")
 
-    def test_version_bumps_only_on_change(self, table):
+    def test_version_bumps_only_on_change(self, table, autocommit):
         version = table.version
-        table.delete_where(lambda row: False)
+        autocommit(table.delete_where, lambda row: False)
         assert table.version == version
-        table.delete_where(lambda row: row[0] == 1)
+        autocommit(table.delete_where, lambda row: row[0] == 1)
         assert table.version > version
 
-    def test_truncate(self, table):
-        table.truncate()
-        assert len(table) == 0
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda t: t.insert((4, "z")),
+            lambda t: t.insert_many([]),
+            lambda t: t.delete_where(lambda row: True),
+            lambda t: t.update_where(lambda row: True, lambda row: (0, "w")),
+        ],
+        ids=["insert", "insert_many", "delete_where", "update_where"],
+    )
+    def test_write_outside_a_transaction_is_refused(self, table, write):
+        state = table._state
+        with pytest.raises(ProgrammingError, match="outside a transaction"):
+            write(table)
+        assert table._state is state
 
 
 class TestRelation:

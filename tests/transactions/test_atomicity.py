@@ -9,15 +9,28 @@ from repro import Database, SerializationError, TypeCheckError, connect
 from repro.catalog.schema import Attribute, Schema
 from repro.datatypes import SQLType
 from repro.errors import AnalyzeError, CatalogError, ExecutionError, OperationalError
+from repro.storage.mvcc import TransactionManager, activate
 from repro.storage.table import HeapTable
 
 
-def _table() -> HeapTable:
+@pytest.fixture
+def table(autocommit) -> HeapTable:
     table = HeapTable(
         "t", Schema((Attribute("a", SQLType.INT), Attribute("b", SQLType.TEXT)))
     )
-    table.insert_many([(1, "x"), (2, "y"), (3, "z")])
+    autocommit(table.insert_many, [(1, "x"), (2, "y"), (3, "z")])
     return table
+
+
+@pytest.fixture
+def in_txn():
+    """An open transaction, active for the whole test: a failing write
+    must leave what the transaction sees untouched — no rollback hides
+    a half-applied statement."""
+    txn = TransactionManager(lambda: ()).begin()
+    with activate(txn):
+        yield txn
+    txn.rollback()
 
 
 # ---------------------------------------------------------------------------
@@ -26,8 +39,7 @@ def _table() -> HeapTable:
 
 
 class TestHeapTableAtomicity:
-    def test_insert_many_is_all_or_nothing(self):
-        table = _table()
+    def test_insert_many_is_all_or_nothing(self, table, in_txn):
         before = table.rows
         version = table.version
         with pytest.raises(CatalogError, match="columns"):
@@ -35,9 +47,8 @@ class TestHeapTableAtomicity:
         assert table.rows is before, "a bad row mid-batch must leave the heap alone"
         assert table.version == version
 
-    def test_update_where_predicate_error_leaves_heap(self):
-        table = _table()
-        before = list(table.rows)
+    def test_update_where_predicate_error_leaves_heap(self, table, in_txn):
+        before = table.rows
         version = table.version
 
         def predicate(row):
@@ -47,12 +58,11 @@ class TestHeapTableAtomicity:
 
         with pytest.raises(ExecutionError):
             table.update_where(predicate, lambda row: (row[0], "hit"))
-        assert table.rows == before
+        assert table.rows is before
         assert table.version == version
 
-    def test_update_where_coercion_error_leaves_heap(self):
-        table = _table()
-        before = list(table.rows)
+    def test_update_where_coercion_error_leaves_heap(self, table, in_txn):
+        before = table.rows
 
         def updater(row):
             # Coercion of the third row fails after two staged updates.
@@ -60,11 +70,10 @@ class TestHeapTableAtomicity:
 
         with pytest.raises(CatalogError):
             table.update_where(lambda row: True, updater)
-        assert table.rows == before
+        assert table.rows is before
 
-    def test_delete_where_predicate_error_leaves_heap(self):
-        table = _table()
-        before = list(table.rows)
+    def test_delete_where_predicate_error_leaves_heap(self, table, in_txn):
+        before = table.rows
 
         def predicate(row):
             if row[0] == 2:
@@ -73,7 +82,7 @@ class TestHeapTableAtomicity:
 
         with pytest.raises(ExecutionError):
             table.delete_where(predicate)
-        assert table.rows == before
+        assert table.rows is before
 
     def test_sql_update_division_by_zero_mid_table(self):
         conn = connect()

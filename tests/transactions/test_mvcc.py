@@ -174,19 +174,27 @@ class TestConflicts:
             "SELECT a, b FROM t ORDER BY a"
         ).fetchall() == [(1, "kept"), (2, "y")]
 
-    def test_truncate_is_a_coarse_write(self):
-        # Whole-table operations keep table-granularity conflicts even
-        # against a disjoint-looking row write.
-        db, _ = _shared_db()
+    def test_full_table_delete_is_a_row_level_write(self):
+        # A DELETE without WHERE writes every row it sees: it overlaps a
+        # concurrent update of any of them ...
+        db, observer = _shared_db()
         first = connect(database=db)
         second = connect(database=db)
         first.execute("BEGIN")
         second.execute("BEGIN")
         first.execute("UPDATE t SET b = 'gone?' WHERE a = 1")
-        second.execute("DELETE FROM t")  # full-table delete
+        second.execute("DELETE FROM t")
         first.commit()
-        with pytest.raises(SerializationError, match="concurrent transaction"):
+        with pytest.raises(SerializationError, match="write-write overlap on 1 row"):
             second.commit()
+        # ... but not a row inserted beside it, which survives.
+        first.execute("BEGIN")
+        second.execute("BEGIN")
+        first.execute("INSERT INTO t VALUES (4, 'new')")
+        second.execute("DELETE FROM t")
+        first.commit()
+        second.commit()
+        assert observer.execute("SELECT a, b FROM t").fetchall() == [(4, "new")]
 
     def test_read_only_transactions_never_conflict(self):
         db, _ = _shared_db()
@@ -297,16 +305,29 @@ class TestSavepoints:
         setup.commit()
         assert setup.execute("SELECT b FROM t WHERE a = 1").fetchall() == [("kept",)]
 
-    def test_savepoint_can_be_rolled_back_to_twice(self):
+    @pytest.mark.parametrize(
+        "write",
+        ["DELETE FROM t WHERE a = {}", "INSERT INTO t VALUES ({}0, 'new')"],
+        ids=["delete", "insert"],
+    )
+    @pytest.mark.parametrize("written_before", [False, True], ids=["clean", "written"])
+    def test_savepoint_can_be_rolled_back_to_twice(self, write, written_before):
+        # With the table written before the SAVEPOINT, the savepoint and
+        # the transaction share its lists: an append after a restore
+        # must copy them, not write into what the savepoint keeps.
         db, setup = _shared_db()
         setup.execute("BEGIN")
+        if written_before:
+            setup.execute("UPDATE t SET b = 'pre' WHERE a = 3")
         setup.execute("SAVEPOINT sp")
-        setup.execute("DELETE FROM t WHERE a = 1")
+        setup.execute(write.format(1))
         setup.execute("ROLLBACK TO sp")  # SAVEPOINT keyword optional
-        setup.execute("DELETE FROM t WHERE a = 2")
+        setup.execute(write.format(2))
         setup.execute("ROLLBACK TO SAVEPOINT sp")
         setup.commit()
-        assert len(setup.execute("SELECT a FROM t").fetchall()) == 3
+        assert setup.execute("SELECT a, b FROM t").fetchall() == [
+            (1, "x"), (2, "y"), (3, "pre" if written_before else "z"),
+        ]
 
     def test_release_forgets_savepoint(self):
         db, setup = _shared_db()
@@ -430,25 +451,6 @@ class TestConnectionSemantics:
         setup.commit()
         assert db.manager.begin_count > begins
         assert db.manager.commit_count == commits + 1  # writing commits only
-
-    def test_append_only_insert_does_not_copy_the_table(self):
-        # The copy-on-write working set stays in overlay mode for
-        # INSERT-only transactions: the snapshot base list is reused by
-        # reference, so a single-row INSERT is O(1), not O(table).
-        from repro.storage import mvcc
-
-        db, setup = _shared_db()
-        table = setup.catalog.table("t").table
-        base_rows = table.rows
-        setup.execute("BEGIN")
-        setup.execute("INSERT INTO t VALUES (50, 'new')")
-        txn = setup._txn
-        working = txn._working[table]
-        assert working._base is base_rows, "INSERT must not materialize a table copy"
-        with mvcc.activate(txn):
-            assert table.rows[-1] == (50, "new")  # reading materializes
-        assert working._base is None
-        setup.rollback()
 
 
 # ---------------------------------------------------------------------------
