@@ -77,17 +77,22 @@ class MatviewEntry(TableEntry):
     stored rows exactly like a base table; the query (and its SQL text,
     which survives checkpoints) lets the engine refresh or incrementally
     maintain the contents. ``stale`` marks contents that no longer match
-    the base tables (non-delta-safe shape, version skew, or a view
-    redefinition); reads outside a transaction refresh stale matviews
-    before planning.
+    the base tables however they change (a commit maintenance could not
+    follow, a view redefinition, a failed refresh). A view whose
+    ``base_versions`` merely lag the tables is *behind*, not stale:
+    aggregate and non-maintainable views fall behind on every base
+    commit. Reads outside a transaction bring stale and behind matviews
+    up to date before planning; reads inside one unfold them.
 
     The maintenance fields below are owned by :mod:`repro.engine.matview`:
     ``base_versions`` maps each base table to the heap version stamp the
-    stored rows were computed from, and ``source_ids`` holds, per stored
-    row, the tuple of contributing base-row ids per leaf of the rewritten
-    plan (``None`` when the shape is not delta-safe). The list is
-    sorted: base-table row ids ascend, so source-id order is the stored
-    rows' order, and the tuple is the maintainer's only key.
+    stored rows were computed from. ``source_ids`` (SPJ views) holds,
+    per stored row, the tuple of contributing base-row ids per leaf of
+    the rewritten plan. The list is sorted: base-table row ids ascend,
+    so source-id order is the stored rows' order, and the tuple is the
+    maintainer's only key. ``agg_state`` (aggregate views) is the
+    per-group fold a read-time catch-up continues from. Neither survives
+    a restart.
     """
 
     query: "ast.QueryExpr" = None  # type: ignore[assignment]
@@ -98,6 +103,7 @@ class MatviewEntry(TableEntry):
     base_versions: dict[str, int] = field(default_factory=dict)
     delta_safe: bool = False
     source_ids: Optional[list[tuple]] = None
+    agg_state: object = field(default=None, repr=False)
     # Compiled MatviewProgram (engine.matview); rebuilt lazily after
     # recovery or refresh.
     program: object = field(default=None, repr=False)
@@ -315,6 +321,17 @@ class Catalog:
         entry = self.matview(name)
         entry.stale = False
         self.version += 1
+        if self.observer is not None:
+            self.observer.on_matview_fresh(entry.name)
+
+    def advance_matview(self, entry: MatviewEntry, base_versions: dict[str, int]) -> None:
+        """Record that a fresh-flagged view's stored rows now reflect
+        *base_versions* (a read-time catch-up). No catalog version bump:
+        plans that scan the stored heap stay valid, and plans that
+        unfolded the view while it was behind revalidate per execution.
+        The WAL observer still records the new bookkeeping, so recovery
+        trusts the caught-up contents."""
+        entry.base_versions = base_versions
         if self.observer is not None:
             self.observer.on_matview_fresh(entry.name)
 

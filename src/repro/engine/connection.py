@@ -52,7 +52,7 @@ from ..storage import mvcc
 from ..storage.table import Relation
 from .cursor import Cursor
 from .database import Database
-from .matview import base_table_names, compile_program
+from .matview import MatviewContents, base_table_names, compile_program
 from .pipeline import Pipeline, PlanCache, PreparedPlan, bind_parameters
 from .prepared import PreparedStatement
 from .result import ExecutionProfile
@@ -640,9 +640,9 @@ class Connection:
         (the path :class:`PreparedStatement` takes, so its reads see the
         same snapshot as ``cursor.execute`` would)."""
         if (
-            plan.stale_matviews
-            and not self.in_transaction
+            not self.in_transaction
             and mvcc.current_transaction() is None
+            and self._matviews_behind(plan)
         ):
             self._auto_refresh_matviews(plan.statement)
             if plan.catalog_version != self.catalog.version:
@@ -824,8 +824,8 @@ class Connection:
             with_provenance=statement.with_provenance,
             provenance_attrs=expanded.provenance_names,
         )
-        count = self._install_matview(entry, *contents)
-        return _status(f"CREATE MATERIALIZED VIEW ({count} rows)")
+        self.database.matview_maintainer.install(entry, contents)
+        return _status(f"CREATE MATERIALIZED VIEW ({len(contents.rows)} rows)")
 
     def _execute_refresh_matview(
         self, statement: ast.RefreshMaterializedView
@@ -836,61 +836,39 @@ class Connection:
     def _compute_matview(self, query: ast.QueryExpr):
         """Analyze a materialized-view definition (views *and* other
         matviews unfolded, so only base tables remain) and evaluate its
-        current contents: through the delta interpreter when the rewritten
-        shape is delta-safe, else through this connection's engine.
-        Returns ``((rows, source_ids, base_versions, base_tables,
-        program), expanded)`` — the contents :meth:`_install_matview`
-        stores, and the expanded definition."""
+        current contents: through the maintenance program when the
+        rewritten shape is maintainable, else through this connection's
+        engine. Returns ``(contents, expanded)`` — the
+        :class:`~repro.engine.matview.MatviewContents` to install, and
+        the expanded definition."""
         analyzer = self._analyzer()
         analyzer.inline_matviews = True
         node = analyzer.analyze_query(query)
         expanded = self.rewriter.expand(node)
         rewritten = expanded.node
 
-        def compute():
+        def compute() -> MatviewContents:
             program = compile_program(rewritten, self.catalog)
             base_tables = base_table_names(rewritten, self.catalog)
             if program is not None:
-                rows, sids, base_versions = program.compute_full(self.catalog)
-            else:
-                optimized = self.optimizer.optimize(rewritten)
-                physical = self.planner.plan_root(optimized)
-                result = execute_plan(physical, expanded.provenance_names)
-                rows = list(result.rows)
-                sids = None
-                base_versions = {
-                    t: self.catalog.table(t).table.version for t in base_tables
-                }
-            return rows, sids, base_versions, base_tables, program
+                return program.compute_full(self.catalog, base_tables)
+            optimized = self.optimizer.optimize(rewritten)
+            physical = self.planner.plan_root(optimized)
+            result = execute_plan(physical, expanded.provenance_names)
+            base_versions = {t: self.catalog.table(t).table.version for t in base_tables}
+            return MatviewContents(
+                list(result.rows), None, None, base_versions, base_tables, None
+            )
 
         if mvcc.current_transaction() is not None:
             return compute(), expanded
         return self._run_autocommit(compute), expanded
 
-    def _install_matview(
-        self, entry, rows, sids, base_versions, base_tables, program
-    ) -> int:
-        """Store freshly computed contents (CREATE and REFRESH): the
-        maintenance state, the rows, then the freshness mark; returns
-        the row count."""
-        entry.base_tables = base_tables
-        entry.delta_safe = program is not None
-        entry.program = program
-        entry.source_ids = sids
-        entry.table._install_direct(rows, mvcc.new_row_ids(len(rows)))
-        # Set last: until the stored rows are installed, readers see the
-        # old (or empty) versions map, fail the freshness check and
-        # unfold. The fresh-mark also reaches the WAL observer, which
-        # records the base versions so recovery restores a trusted view.
-        entry.base_versions = base_versions
-        self.catalog.set_matview_fresh(entry.name)
-        return len(rows)
-
     def _refresh_matview(self, name: str) -> int:
         """Recompute a materialized view's stored rows from the current
         base-table state; returns the new row count. The view is marked
-        stale *first*, so commit-time maintenance (which skips stale
-        views) cannot interleave its own heap write with the install."""
+        stale *first*, so neither commit-time maintenance nor a catch-up
+        (both skip stale views) can interleave a write with the install."""
         entry = self.catalog.matview(name)
         contents, expanded = self._compute_matview(entry.query)
         new_names = [a.name for a in expanded.node.schema]
@@ -901,39 +879,60 @@ class Connection:
                 f"definition now produces columns ({', '.join(new_names)}) "
                 f"instead of ({', '.join(old_names)}); drop and re-create it"
             )
-        self.database.matview_maintainer.mark_stale(entry.name)
-        count = self._install_matview(entry, *contents)
+        maintainer = self.database.matview_maintainer
+        maintainer.mark_stale(entry.name)
+        maintainer.install(entry, contents)
         self.pipeline.counters.matview_refreshes += 1
-        return count
+        return len(contents.rows)
+
+    def _matviews_behind(self, plan: PreparedPlan) -> list[str]:
+        """The materialized views *plan* reads that are not fresh for the
+        latest committed state: the ones it unfolded, and the ones it
+        scans that a commit has since left behind."""
+        catalog = self.catalog
+        return [
+            name
+            for name in plan.stale_matviews + plan.fresh_matviews
+            if catalog.has_matview(name)
+            and not catalog.matview_fresh(catalog.matview(name))
+        ]
 
     def _auto_refresh_matviews(self, statement: ast.QueryStatement) -> None:
-        """Best-effort refresh of every stale materialized view a read
-        would unfold, run before the statement's own transaction begins
-        (a refresh *inside* the snapshot would be invisible to it). A
-        view whose refresh fails — e.g. its definition no longer analyzes
-        after a base-schema change — is left stale and the read serves
-        the unfolded definition instead."""
+        """Best-effort refresh of every materialized view a read would
+        find stale or behind, run before the statement's own transaction
+        begins (a refresh *inside* the snapshot would be invisible to
+        it). The candidates come from the plan the read uses anyway — a
+        commit leaves the catalog version alone, so that is a cache hit.
+        Each is caught up from its base tables' deltas when the
+        maintainer can, else recomputed. A view whose refresh fails —
+        e.g. its definition no longer analyzes after a base-schema
+        change — is left stale and the read serves the unfolded
+        definition instead."""
         if (
             self.in_transaction
             or mvcc.current_transaction() is not None
             or not self.catalog.matviews
         ):
             return
+        maintainer = self.database.matview_maintainer
         for _ in range(3):
             try:
                 plan = self._run_autocommit(lambda: self._prepared_for(statement))
             except PermError:
                 return  # broken statement: surface the error on the real path
-            if not plan.stale_matviews:
+            behind = self._matviews_behind(plan)
+            if not behind:
                 return
             progressed = False
-            for name in plan.stale_matviews:
-                if not self.catalog.has_matview(name):
-                    continue
+            for name in behind:
                 try:
-                    self._refresh_matview(name)
+                    entry = self.catalog.matview(name)
+                    reason = maintainer.catch_up(entry, self._run_autocommit)
+                    if reason is not None:
+                        self._refresh_matview(name)
+                        maintainer.record_recompute(entry, reason)
                 except PermError:
-                    self.database.matview_maintainer.mark_stale(name)
+                    maintainer.mark_stale(name)
                 else:
                     progressed = True
                     self.pipeline.counters.matview_auto_refreshes += 1

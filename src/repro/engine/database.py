@@ -110,25 +110,36 @@ class Database:
         return self.manager.gc_stats()
 
     def matview_stats(self) -> dict:
-        """Materialized-view bookkeeping: per-view freshness and size,
-        plus the maintainer's cumulative counters (``stale_reasons``:
-        why commits could not be maintained, ``stale_marks`` their sum)."""
+        """Materialized-view bookkeeping: per-view size and freshness
+        (``stale``: not fresh for the latest committed state — flagged
+        stale, or behind its base tables until a read catches it up),
+        plus the maintainer's cumulative counters. Commit time:
+        ``incremental_commits`` (SPJ views maintained in the commit) and
+        ``stale_reasons`` (commits that could not be followed;
+        ``stale_marks`` their sum). Read time: ``catch_ups`` (refreshes
+        computed from the base tables' deltas) and ``recompute_reasons``
+        (refreshes recomputed instead, per reason; ``recomputes`` their
+        sum)."""
         maintainer = self.matview_maintainer
+        catalog = self.catalog
         return {
             "views": {
                 entry.name: {
                     "rows": len(entry.table._state[0]),
-                    "stale": entry.stale,
+                    "stale": not catalog.matview_fresh(entry),
                     "delta_safe": entry.delta_safe,
                     "with_provenance": entry.with_provenance,
                 }
-                for entry in self.catalog.matviews
+                for entry in catalog.matviews
             },
             "incremental_commits": maintainer.incremental_commits,
             "stale_marks": sum(maintainer.stale_reasons.values()),
             "stale_reasons": dict(maintainer.stale_reasons),
             "rows_added": maintainer.rows_added,
             "rows_removed": maintainer.rows_removed,
+            "catch_ups": maintainer.catch_ups,
+            "recomputes": sum(maintainer.recompute_reasons.values()),
+            "recompute_reasons": dict(maintainer.recompute_reasons),
         }
 
     def wal_stats(self) -> dict:

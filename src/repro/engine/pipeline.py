@@ -134,8 +134,11 @@ class PreparedPlan:
     # keeps plans prepared inside the transaction valid afterwards.
     stats_deps: tuple[tuple[str, int], ...] = ()
     # Materialized views this plan *unfolded* because their stored rows
-    # could not be trusted (stale, or base-version skew). The connection
-    # refreshes these before serving reads outside a transaction.
+    # could not be trusted (stale, or behind the snapshot's base
+    # versions). The connection brings these up to date before serving
+    # reads outside a transaction — a catch-up without a catalog version
+    # bump — so, like the fresh ones below, the decision is revalidated
+    # before every execution.
     stale_matviews: tuple[str, ...] = ()
     # Materialized views this plan scans *from the stored heap* — a
     # decision that holds only while each view stays fresh for the
@@ -180,22 +183,24 @@ class PreparedPlan:
                 return False
         return True
 
-    def matviews_still_fresh(self) -> bool:
-        """Whether every matview this plan scans from its stored heap is
-        still fresh for the caller's snapshot (trivially true for plans
-        that scan no matview)."""
+    def matview_choices_hold(self) -> bool:
+        """Whether every scan-vs-unfold decision still matches freshness
+        for the caller's snapshot: each matview scanned from its stored
+        heap is still fresh, each one unfolded still is not (trivially
+        true for plans that read no matview)."""
         catalog = self._pipeline.catalog
-        for name in self.fresh_matviews:
-            if not catalog.has_matview(name) or not catalog.matview_fresh(
-                catalog.matview(name)
-            ):
-                return False
+        for names, fresh in ((self.fresh_matviews, True), (self.stale_matviews, False)):
+            for name in names:
+                if not catalog.has_matview(name) or catalog.matview_fresh(
+                    catalog.matview(name)
+                ) is not fresh:
+                    return False
         return True
 
     def deps_valid(self) -> bool:
         """Every execution-time fact the plan relies on: statistics-based
-        simplifications and fresh-matview scan decisions."""
-        return self.stats_deps_valid() and self.matviews_still_fresh()
+        simplifications and matview scan-vs-unfold decisions."""
+        return self.stats_deps_valid() and self.matview_choices_hold()
 
     def refresh(self) -> None:
         """Re-run the prepare stages for this plan's statement in place,

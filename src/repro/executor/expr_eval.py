@@ -9,7 +9,7 @@ index into. Uncorrelated subplans are executed once and cached.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..algebra import expressions as ax
 from ..catalog.schema import Schema
@@ -371,62 +371,162 @@ def _as_bool(value: Value) -> Optional[bool]:
     raise ExecutionError(f"expected a boolean, got {type_of_value(value)}")
 
 
-class AggregateAccumulator:
-    """Accumulator for one aggregate over one group."""
+class AggregateRule(NamedTuple):
+    """One aggregate as four functions over an
+    :class:`AggregateAccumulator`'s fields — the generalized-linear-
+    aggregate shape. ``init`` zeroes the fields the aggregate uses,
+    ``accumulate`` folds one input value in, ``retract`` takes one back
+    out and returns ``None`` — or, when the fields cannot say what the
+    aggregate is without that value, the reason, leaving them untouched —
+    and ``terminate`` is the SQL result. NULL inputs change nothing
+    (``count(*)`` is fed a non-NULL sentinel per row)."""
 
-    __slots__ = ("func", "distinct", "count", "total", "best", "seen", "float_seen")
+    init: Callable[["AggregateAccumulator"], None]
+    accumulate: Callable[["AggregateAccumulator", Value], None]
+    retract: Callable[["AggregateAccumulator", Value], Optional[str]]
+    terminate: Callable[["AggregateAccumulator"], Value]
 
-    def __init__(self, func: str, distinct: bool):
-        self.func = func
-        self.distinct = distinct
-        self.count = 0
-        self.total: float | int = 0
-        self.best: Value = None
-        self.seen: set = set()
-        self.float_seen = False
 
-    def add(self, value: Value) -> None:
-        if self.func == "count" and value is _COUNT_STAR:
-            self.count += 1
-            return
+def _init_count(acc: "AggregateAccumulator") -> None:
+    acc.count = 0
+
+
+def _accumulate_count(acc: "AggregateAccumulator", value: Value) -> None:
+    if value is not None:
+        acc.count += 1
+
+
+def _retract_count(acc: "AggregateAccumulator", value: Value) -> Optional[str]:
+    if value is not None:
+        acc.count -= 1
+    return None
+
+
+def _terminate_count(acc: "AggregateAccumulator") -> Value:
+    return acc.count
+
+
+def _init_sum(acc: "AggregateAccumulator") -> None:
+    acc.count = 0
+    acc.total = 0
+
+
+def _accumulate_sum(acc: "AggregateAccumulator", value: Value) -> None:
+    if value is None:
+        return
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ExecutionError(f"{acc.func}() requires numeric input")
+    if isinstance(value, float):
+        acc.float_seen = True
+    acc.count += 1
+    acc.total += value
+
+
+def _retract_sum(acc: "AggregateAccumulator", value: Value) -> Optional[str]:
+    if value is None:
+        return None
+    if acc.float_seen or isinstance(value, float):
+        # Float addition is order-sensitive: subtracting does not undo it.
+        return "float aggregate"
+    acc.count -= 1
+    acc.total -= value
+    return None
+
+
+def _terminate_sum(acc: "AggregateAccumulator") -> Value:
+    if acc.count == 0:
+        return None
+    return float(acc.total) if acc.float_seen else acc.total
+
+
+def _terminate_avg(acc: "AggregateAccumulator") -> Value:
+    if acc.count == 0:
+        return None
+    return acc.total / acc.count
+
+
+def _init_extreme(acc: "AggregateAccumulator") -> None:
+    acc.count = 0
+    acc.best = None
+
+
+def _extreme(want: int) -> Callable[["AggregateAccumulator", Value], None]:
+    """min (``want=-1``) / max (``want=1``): the first value no later
+    value beats strictly."""
+
+    def accumulate(acc: "AggregateAccumulator", value: Value) -> None:
         if value is None:
             return
-        if self.distinct:
+        acc.count += 1
+        if acc.best is None or compare(value, acc.best) == want:
+            acc.best = value
+
+    return accumulate
+
+
+def _retract_extreme(acc: "AggregateAccumulator", value: Value) -> Optional[str]:
+    if value is None:
+        return None
+    if compare(value, acc.best) == 0:
+        # The runner-up is not kept: only the whole group can say.
+        return "min/max retraction"
+    acc.count -= 1
+    return None
+
+
+def _terminate_extreme(acc: "AggregateAccumulator") -> Value:
+    return acc.best
+
+
+#: The aggregate functions, each one rule. The row and vectorized
+#: engines accumulate and terminate through it, the sqlite backend's
+#: exact-float UDFs too, and the materialized-view maintainer also
+#: retracts through it.
+AGGREGATES: dict[str, AggregateRule] = {
+    "count": AggregateRule(_init_count, _accumulate_count, _retract_count, _terminate_count),
+    "sum": AggregateRule(_init_sum, _accumulate_sum, _retract_sum, _terminate_sum),
+    "avg": AggregateRule(_init_sum, _accumulate_sum, _retract_sum, _terminate_avg),
+    "min": AggregateRule(_init_extreme, _extreme(-1), _retract_extreme, _terminate_extreme),
+    "max": AggregateRule(_init_extreme, _extreme(1), _retract_extreme, _terminate_extreme),
+}
+
+
+class AggregateAccumulator:
+    """One aggregate over one group: the fields its :data:`AGGREGATES`
+    rule reads and writes, plus DISTINCT's seen-set."""
+
+    __slots__ = ("func", "rule", "count", "total", "best", "seen", "float_seen")
+
+    def __init__(self, func: str, distinct: bool):
+        rule = AGGREGATES.get(func)
+        if rule is None:
+            raise ExecutionError(f"unknown aggregate {func!r}")
+        self.func = func
+        self.rule = rule
+        self.seen: Optional[set] = set() if distinct else None
+        self.float_seen = False
+        rule.init(self)
+
+    def add(self, value: Value) -> None:
+        seen = self.seen
+        if seen is not None and value is not None:
             key = value_identity(value)
-            if key in self.seen:
+            if key in seen:
                 return
-            self.seen.add(key)
-        self.count += 1
-        if self.func in ("sum", "avg"):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ExecutionError(f"{self.func}() requires numeric input")
-            if isinstance(value, float):
-                self.float_seen = True
-            self.total += value
-        elif self.func in ("min", "max"):
-            if self.best is None:
-                self.best = value
-            else:
-                relation = compare(value, self.best)
-                if relation is not None and (
-                    (self.func == "min" and relation < 0) or (self.func == "max" and relation > 0)
-                ):
-                    self.best = value
+            seen.add(key)
+        self.rule.accumulate(self, value)
 
     def result(self) -> Value:
-        if self.func == "count":
-            return self.count
-        if self.func == "sum":
-            if self.count == 0:
-                return None
-            return float(self.total) if self.float_seen else self.total
-        if self.func == "avg":
-            if self.count == 0:
-                return None
-            return self.total / self.count
-        if self.func in ("min", "max"):
-            return self.best
-        raise ExecutionError(f"unknown aggregate {self.func!r}")
+        return self.rule.terminate(self)
+
+    def copy(self) -> "AggregateAccumulator":
+        twin = object.__new__(AggregateAccumulator)
+        for name in self.__slots__:
+            if hasattr(self, name):
+                setattr(twin, name, getattr(self, name))
+        if self.seen is not None:
+            twin.seen = set(self.seen)
+        return twin
 
 
 class _CountStar:

@@ -272,7 +272,7 @@ class ChangeRecordChecker:
 
     def stage(self, seq, change) -> None:
         wal = json.loads(json.dumps(self.store._delta_for(change)))
-        delta = self.maintainer._delta(change.table.name, change, seq)
+        delta = self.maintainer._delta(change.table.name, change)
         prev_rows, _, prev_ids = change.previous
         self.staged.append((change, self.fingerprint(prev_rows, prev_ids), wal, delta))
 

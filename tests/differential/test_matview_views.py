@@ -3,10 +3,11 @@
 Every registered differential engine — plus ``sqlite-partition``
 explicitly pinned at 2 and at 3 shards — builds the same base data,
 the same virtual views and the same materialized views (a delta-safe
-join, a provenance-carrying one, and a non-delta-safe aggregate that
-exercises the stale-and-recompute fallback). Agreement is asserted
-before and after an identical DML burst, so incremental maintenance,
-staleness marking and auto-refresh all run under the N-way comparison.
+join, a provenance-carrying one, and an aggregate caught up at its
+first read). Agreement is asserted before and after an identical DML
+burst, so commit-time maintenance and read-time catch-up — including a
+group moving when its first-seen row goes, and an emptied group coming
+back — run under the N-way comparison.
 
 Each engine is additionally held to the tentpole identity: reading a
 materialized view must be bit-identical (rows, order, column names) to
@@ -91,7 +92,10 @@ QUERIES = (
 # Identical burst applied to every engine between the two assertion
 # rounds: inserts join the delta path, the UPDATE rewrites matching
 # rows (remove + insert deltas), the DELETE shrinks a join side, and
-# all of it stales mv_totals for the auto-refresh path.
+# all of it leaves mv_totals behind for the read-time catch-up. The
+# last three steps delete the NULL group's only row, the 'tool' group's
+# first-seen row (so 'tool' moves behind 'toy'), and re-fill the emptied
+# NULL group (which comes back last).
 _DML = (
     "INSERT INTO item VALUES (7, 'book', 6, 2.5), (8, 'toy', 0, 8.0)",
     "INSERT INTO tag VALUES (7, 'red'), (7, 'paper')",
@@ -99,6 +103,8 @@ _DML = (
     "DELETE FROM tag WHERE label = 'heavy'",
     "UPDATE item SET price = 3.75 WHERE id = 3",
     "DELETE FROM item WHERE id = 5",
+    "DELETE FROM item WHERE id = 1",
+    "INSERT INTO item VALUES (9, NULL, 3, 1.25)",
 )
 
 
@@ -166,15 +172,16 @@ def test_matview_read_is_identical_to_unfolded_query(view_engines, name):
 
 
 def test_agreement_survives_identical_dml_burst(view_engines):
-    """After the same writes everywhere, incremental maintenance (the
-    join and provenance matviews) and stale-recompute (the aggregate)
+    """After the same writes everywhere, commit-time maintenance (the
+    join and provenance matviews) and read-time catch-up (the aggregate)
     must land every engine on the same contents again."""
     for sql in _DML:
         for label, connection in view_engines.items():
             connection.execute(sql)
-        # Interleave a read so maintenance output feeds later deltas.
-        outcome = assert_engines_agree(view_engines, "SELECT * FROM mv_join")
-        assert outcome[0] == "ok", (sql, outcome)
+        # Interleave reads so maintenance output feeds later deltas.
+        for read in ("SELECT * FROM mv_join", "SELECT * FROM mv_totals"):
+            outcome = assert_engines_agree(view_engines, read)
+            assert outcome[0] == "ok", (sql, read, outcome)
     for sql in QUERIES:
         outcome = assert_engines_agree(view_engines, sql)
         assert outcome[0] == "ok", (sql, outcome)
@@ -184,6 +191,10 @@ def test_agreement_survives_identical_dml_burst(view_engines):
                 connection.execute(f"SELECT * FROM {name}").fetchall()
                 == connection.execute(unfolded).fetchall()
             ), (label, name)
+    for label, connection in view_engines.items():
+        stats = connection.database.matview_stats()
+        assert stats["catch_ups"] > 0, (label, stats)
+        assert stats["recomputes"] == 0, (label, stats)
 
 
 def test_matview_errors_agree_across_engines(view_engines):

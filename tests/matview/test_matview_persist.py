@@ -10,9 +10,13 @@ catalog, field for field.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.engine.database import Database
+from repro.storage.persist import WAL_NAME
+from repro.storage.wal import read_records
 
 _SETUP = (
     "CREATE TABLE item (id int, grp text, qty int)",
@@ -79,7 +83,8 @@ def test_matviews_survive_restart(tmp_path, mode):
         if mode == "checkpoint":
             conn.run("CHECKPOINT")
         described, version = _describe(db), db.catalog.version
-        assert described["kept"]["provenance"] and described["tot"]["stale"]
+        assert described["kept"]["provenance"]
+        assert db.matview_stats()["views"]["tot"]["stale"]
     with Database(path=d) as db:
         assert _describe(db) == described
         if mode == "checkpoint":
@@ -88,16 +93,18 @@ def test_matviews_survive_restart(tmp_path, mode):
         conn = db.connect()
         stats = db.matview_stats()["views"]
         # The delta-maintained views recovered fresh; the aggregate was
-        # left stale by the last insert and recovered stale.
+        # left behind by the last insert and recovered behind.
         assert not stats["busy"]["stale"] and not stats["pv"]["stale"]
         assert stats["tot"]["stale"]
         for name, rows in expected.items():
             assert conn.run(f"SELECT * FROM {name}").rows == rows
         # Fresh views were served from the recovered heaps, no refresh.
         assert conn.pipeline.counters.matview_auto_refreshes == 0
-        # The stale aggregate recomputes on first read.
+        # The behind aggregate recomputes on first read: its fold did
+        # not survive the restart.
         assert conn.run("SELECT * FROM tot").rows == _unfolded(conn, "tot")
         assert conn.pipeline.counters.matview_auto_refreshes == 1
+        assert db.matview_stats()["recompute_reasons"] == {"no aggregate state": 1}
 
 
 def test_incremental_maintenance_resumes_after_restart(tmp_path):
@@ -145,3 +152,61 @@ def test_refresh_survives_restart(tmp_path):
         assert not db.matview_stats()["views"]["tot"]["stale"]
         assert conn.run("SELECT * FROM tot").rows == expected
         assert conn.pipeline.counters.matview_auto_refreshes == 0
+
+
+def _tot_setup(conn) -> None:
+    for sql in (_SETUP[0], _SETUP[1], _SETUP[4]):
+        conn.run(sql)
+
+
+def test_catch_up_is_logged_like_a_refresh_and_trusted_after_restart(tmp_path):
+    d = str(tmp_path / "db")
+    with Database(path=d) as db:
+        conn = db.connect()
+        _tot_setup(conn)
+        conn.run("INSERT INTO item VALUES (5, 'b', 7)")
+        conn.run("DELETE FROM item WHERE id = 1")
+        expected = conn.run("SELECT * FROM tot").rows
+        assert expected == _unfolded(conn, "tot")
+        stats = db.matview_stats()
+        assert stats["catch_ups"] == 1 and stats["recomputes"] == 0
+        entry = db.catalog.matview("tot")
+        contents, versions = entry.table._state, dict(entry.base_versions)
+        assert versions == {"item": db.catalog.table("item").table._state[1]}
+        # The catch-up wrote what a refresh writes: the contents, then
+        # the bookkeeping naming the base versions they reflect.
+        records = [record for record, _ in read_records(os.path.join(d, WAL_NAME))]
+        direct, fresh = records[-2:]
+        assert direct["kind"] == "direct" and direct["table"] == "tot"
+        assert [tuple(row) for row in direct["rows"]] == expected
+        assert fresh["kind"] == "matview_fresh" and fresh["base_versions"] == versions
+    with Database(path=d) as db:
+        conn = db.connect()
+        entry = db.catalog.matview("tot")
+        assert entry.table._state == contents and entry.base_versions == versions
+        assert not db.matview_stats()["views"]["tot"]["stale"]
+        # Trusted: served from the recovered heap, no refresh of any kind.
+        assert conn.run("SELECT * FROM tot").rows == expected
+        assert conn.pipeline.counters.matview_auto_refreshes == 0
+
+
+def test_crash_before_catch_up_recovers_a_behind_view(tmp_path):
+    """A base commit is durable; the catch-up that would have followed
+    it never ran. Recovery restores the view behind, its first read
+    recomputes under a named reason (the fold is not persisted), and
+    the recompute rebuilds the fold so the next read catches up."""
+    d = str(tmp_path / "db")
+    with Database(path=d) as db:
+        conn = db.connect()
+        _tot_setup(conn)
+        conn.run("UPDATE item SET qty = 10 WHERE id = 3")
+    with Database(path=d) as db:
+        conn = db.connect()
+        assert db.matview_stats()["views"]["tot"]["stale"]
+        assert conn.run("SELECT * FROM tot").rows == _unfolded(conn, "tot")
+        stats = db.matview_stats()
+        assert stats["recompute_reasons"] == {"no aggregate state": 1}
+        assert stats["catch_ups"] == 0
+        conn.run("INSERT INTO item VALUES (9, 'c', 4)")
+        assert conn.run("SELECT * FROM tot").rows == _unfolded(conn, "tot")
+        assert db.matview_stats()["catch_ups"] == 1

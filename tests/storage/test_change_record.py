@@ -85,6 +85,78 @@ def test_small_commit_never_iterates_the_previous_state(size: int, tmp_path):
     assert [row for _, _, row in tables["mv"]["matview"]["insert_at"]] == [[7, -1, "g3"]]
 
 
+@pytest.mark.parametrize("size", [300, 3000])
+def test_small_commit_then_catch_up_never_iterates_the_base_table(size: int):
+    """An aggregate view's first read after a one-row commit folds the
+    change into its groups: neither the state the commit led to nor the
+    one the view's fold was computed from is ever walked."""
+    db = Database()
+    conn = db.connect()
+    conn.execute("CREATE TABLE t (id int, grp int, val int)")
+    conn.execute("CREATE TABLE d (grp int, label text)")
+    conn.executemany("INSERT INTO d VALUES (?, ?)", [(g, f"g{g}") for g in range(4)])
+    conn.executemany(
+        "INSERT INTO t VALUES (?, ?, ?)", [(i, i % 4, i) for i in range(size)]
+    )
+    unfolded = (
+        "SELECT d.label, count(*) AS n, sum(t.val) AS total "
+        "FROM t JOIN d ON d.grp = t.grp GROUP BY d.label"
+    )
+    conn.execute(f"CREATE MATERIALIZED VIEW agg AS {unfolded}")
+    conn.execute("UPDATE t SET val = val + 1 WHERE id = 5")
+    conn.execute("SELECT * FROM agg")  # warm caches: one catch-up
+    conn.execute("UPDATE t SET val = -1 WHERE id = 4")  # the scan may iterate
+
+    heap = db.catalog.table("t").table
+    rows, version, ids = heap._state
+    heap._state = (CountingList(rows), version, CountingList(ids))
+    entry = db.catalog.matview("agg")
+    state = entry.agg_state
+    old_rows, old_version, old_ids = state.bases["t"]
+    bases = dict(state.bases, t=(CountingList(old_rows), old_version, CountingList(old_ids)))
+    entry.agg_state = state._replace(bases=bases)
+    CountingList.iterations = 0
+    served = conn.execute("SELECT * FROM agg").fetchall()
+    assert CountingList.iterations == 0
+
+    stats = db.matview_stats()
+    assert stats["catch_ups"] == 2 and stats["recomputes"] == 0
+    assert served == conn.execute(unfolded).fetchall()
+
+
+def test_superseded_state_is_freed_without_the_cyclic_collector():
+    """Neither commit-time maintenance nor a catch-up leaves a reference
+    cycle holding a superseded base state: once both views are past it,
+    reference counting alone frees it."""
+    import gc
+    import weakref
+
+    class Traced(list):
+        pass
+
+    db = Database()
+    conn = db.connect()
+    conn.execute("CREATE TABLE t (id int, grp int, val int)")
+    conn.executemany("INSERT INTO t VALUES (?, ?, ?)", [(i, i % 3, i) for i in range(50)])
+    conn.execute("CREATE MATERIALIZED VIEW spj AS SELECT id, val FROM t WHERE val > 10")
+    conn.execute("CREATE MATERIALIZED VIEW agg AS SELECT grp, sum(val) AS s FROM t GROUP BY grp")
+    heap = db.catalog.table("t").table
+    rows, version, ids = heap._state
+    heap._state = (Traced(rows), version, Traced(ids))
+    superseded = weakref.ref(heap._state[0])
+    del rows, ids
+    gc.disable()
+    try:
+        conn.execute("UPDATE t SET val = -1 WHERE id = 20")  # maintains spj
+        conn.execute("SELECT * FROM agg")  # catches agg up
+        conn.execute("DELETE FROM t WHERE id = 21")
+        conn.execute("SELECT * FROM agg")
+        assert superseded() is None
+    finally:
+        gc.enable()
+    assert db.matview_stats()["catch_ups"] == 2
+
+
 def test_failed_wal_append_leaves_no_phantom_row_in_the_maintainer(tmp_path):
     """The maintainer keeps leaf states of committed tables across
     commits; a commit whose log record fails installs nothing, so its

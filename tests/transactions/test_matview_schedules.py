@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from txnharness import generate_schedule, run_schedule
+import repro
+from txnharness import MATVIEW_DEFS, generate_schedule, run_schedule
 
 ENGINES = ("row", "vectorized", "sqlite")
 SEED_COUNT = int(os.environ.get("REPRO_TXN_SEEDS", "50"))
@@ -67,3 +68,126 @@ def test_matview_schedules_are_deterministic():
     # schedules must be byte-stable against the pre-matview generator
     # (their seed bank is pinned by test_schedules.py).
     assert first.matviews and not generate_schedule(11).matviews
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("other_installs_first", [True, False])
+def test_two_sessions_catch_up_from_different_snapshots(engine, other_installs_first):
+    """Session A computes a catch-up of the aggregate from its snapshot;
+    before it installs, a commit lands — and, in one variant, session B
+    catches the view up from the newer snapshot and installs first. The
+    compare-and-swap on the view's fold decides: A's stale result is
+    dropped rather than regressing the view, or installed and then
+    caught up again; no delta applies twice. Both sessions, and the
+    view, end equal to the unfolded query."""
+    database = repro.Database()
+    setup, a, b = (database.connect(engine=engine) for _ in range(3))
+    setup.execute("CREATE TABLE acct (id int, grp text, bal int)")
+    setup.executemany(
+        "INSERT INTO acct VALUES (?, ?, ?)",
+        [(i, "xyz"[i % 3], 10 * i) for i in range(1, 10)],
+    )
+    unfolded = MATVIEW_DEFS["grp_tot"]
+    setup.execute(f"CREATE MATERIALIZED VIEW grp_tot AS {unfolded}")
+    setup.execute("UPDATE acct SET bal = bal + 5 WHERE id = 1")  # the view falls behind
+
+    maintainer = database.matview_maintainer
+    install = maintainer.install
+    interleaved = []
+
+    def install_after_a_commit(entry, contents, expected=None):
+        if expected is not None and not interleaved:
+            interleaved.append(True)
+            # Between A's compute and its install: a commit lands
+            # (deleting the 'x' group's first member), and maybe B reads.
+            setup.execute("DELETE FROM acct WHERE id = 3")
+            if other_installs_first:
+                assert b.execute("SELECT * FROM grp_tot").fetchall() == (
+                    setup.execute(unfolded).fetchall()
+                )
+        return install(entry, contents, expected)
+
+    maintainer.install = install_after_a_commit
+    try:
+        served = a.execute("SELECT * FROM grp_tot").fetchall()
+    finally:
+        maintainer.install = install
+    assert interleaved
+    expected = setup.execute(unfolded).fetchall()
+    assert served == expected
+    assert b.execute("SELECT * FROM grp_tot").fetchall() == expected
+    stats = database.matview_stats()
+    # B's catch-up and A's dropped one, or A's two in a row.
+    assert (stats["catch_ups"], stats["recomputes"]) == (
+        (1, 0) if other_installs_first else (2, 0)
+    )
+    entry = database.catalog.matview("grp_tot")
+    assert entry.base_versions == {"acct": database.catalog.table("acct").table.version}
+    assert not stats["views"]["grp_tot"]["stale"]
+
+
+def test_concurrent_catch_ups_under_thread_switching():
+    """More reader threads than cores catch the same aggregate up while
+    a writer commits, with the interpreter switching threads as often as
+    it can: installs race on the compare-and-swap, counters on the
+    maintainer's lock. A delta applied twice, or a catch-up from an
+    older snapshot installed over a newer one, would leave the view off
+    the unfolded query at the end."""
+    import sys
+    import threading
+
+    database = repro.Database()
+    setup = database.connect()
+    setup.execute("CREATE TABLE acct (id int, grp text, bal int)")
+    setup.executemany(
+        "INSERT INTO acct VALUES (?, ?, ?)",
+        [(i, "xyz"[i % 3], i) for i in range(1, 31)],
+    )
+    unfolded = MATVIEW_DEFS["grp_tot"]
+    setup.execute(f"CREATE MATERIALIZED VIEW grp_tot AS {unfolded}")
+    failures: list = []
+    done = threading.Event()
+
+    def writer() -> None:
+        conn = database.connect()
+        try:
+            for step in range(40):
+                conn.execute("UPDATE acct SET bal = bal + 1 WHERE id = ?", [step % 30 + 1])
+                conn.execute("INSERT INTO acct VALUES (?, ?, ?)", [100 + step, "xyzw"[step % 4], step])
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            failures.append(exc)
+        finally:
+            done.set()
+            conn.close()
+
+    def reader() -> None:
+        conn = database.connect()
+        try:
+            while not done.is_set():
+                conn.execute("SELECT * FROM grp_tot").fetchall()
+            conn.execute("SELECT * FROM grp_tot").fetchall()
+        except Exception as exc:  # noqa: BLE001
+            failures.append(exc)
+        finally:
+            conn.close()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader) for _ in range(4)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert setup.execute("SELECT * FROM grp_tot").fetchall() == (
+        setup.execute(unfolded).fetchall()
+    )
+    stats = database.matview_stats()
+    assert stats["catch_ups"] > 0 and not stats["views"]["grp_tot"]["stale"]
+    reasons = [*stats["stale_reasons"], *stats["recompute_reasons"]]
+    assert not any(reason.startswith("error:") for reason in reasons), reasons
