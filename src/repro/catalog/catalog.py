@@ -14,7 +14,7 @@ provenance — the incremental provenance computation of §2.4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..errors import CatalogError
 from ..storage.table import HeapTable
@@ -77,22 +77,23 @@ class MatviewEntry(TableEntry):
     stored rows exactly like a base table; the query (and its SQL text,
     which survives checkpoints) lets the engine refresh or incrementally
     maintain the contents. ``stale`` marks contents that no longer match
-    the base tables however they change (a commit maintenance could not
-    follow, a view redefinition, a failed refresh). A view whose
-    ``base_versions`` merely lag the tables is *behind*, not stale:
-    aggregate and non-maintainable views fall behind on every base
-    commit. Reads outside a transaction bring stale and behind matviews
-    up to date before planning; reads inside one unfold them.
+    the base tables however they change (a view redefinition, a failed
+    refresh, a refresh in progress). A view whose ``base_versions``
+    merely lag the tables is *behind*, not stale: aggregate and
+    non-maintainable views fall behind on every base commit, an SPJ view
+    on a commit the maintainer could not follow. Reads outside a
+    transaction bring stale and behind matviews up to date before
+    planning; reads inside one unfold them.
 
     The maintenance fields below are owned by :mod:`repro.engine.matview`:
     ``base_versions`` maps each base table to the heap version stamp the
-    stored rows were computed from. ``source_ids`` (SPJ views) holds,
-    per stored row, the tuple of contributing base-row ids per leaf of
-    the rewritten plan. The list is sorted: base-table row ids ascend,
-    so source-id order is the stored rows' order, and the tuple is the
-    maintainer's only key. ``agg_state`` (aggregate views) is the
-    per-group fold a read-time catch-up continues from. Neither survives
-    a restart.
+    stored rows were computed from; ``delta_safe`` says the view is
+    maintained at commit (SPJ); ``state`` is the
+    :class:`~repro.engine.matview.MatviewState` a maintenance step
+    continues from — the pinned base-table states and the fold (the
+    derived rows, each keyed by its tuple of contributing base-row ids,
+    in that order; or the per-group fold). The state and the program do
+    not survive a restart.
     """
 
     query: "ast.QueryExpr" = None  # type: ignore[assignment]
@@ -102,8 +103,7 @@ class MatviewEntry(TableEntry):
     base_tables: tuple[str, ...] = ()
     base_versions: dict[str, int] = field(default_factory=dict)
     delta_safe: bool = False
-    source_ids: Optional[list[tuple]] = None
-    agg_state: object = field(default=None, repr=False)
+    state: object = field(default=None, repr=False)
     # Compiled MatviewProgram (engine.matview); rebuilt lazily after
     # recovery or refresh.
     program: object = field(default=None, repr=False)

@@ -857,7 +857,7 @@ class Connection:
             result = execute_plan(physical, expanded.provenance_names)
             base_versions = {t: self.catalog.table(t).table.version for t in base_tables}
             return MatviewContents(
-                list(result.rows), None, None, base_versions, base_tables, None
+                list(result.rows), None, base_versions, base_tables, None
             )
 
         if mvcc.current_transaction() is not None:

@@ -62,7 +62,7 @@ class Database:
             lambda: [entry.table for entry in self.catalog.tables]
             + [entry.table for entry in self.catalog.matviews]
         )
-        self.matview_maintainer = MatviewMaintainer(self.catalog)
+        self.matview_maintainer = MatviewMaintainer(self.catalog, self.manager.lock)
         self.manager.matview_maintainer = self.matview_maintainer.on_commit
         self.storage = None
         if path is not None:
@@ -115,7 +115,8 @@ class Database:
         stale, or behind its base tables until a read catches it up),
         plus the maintainer's cumulative counters. Commit time:
         ``incremental_commits`` (SPJ views maintained in the commit) and
-        ``stale_reasons`` (commits that could not be followed;
+        ``stale_reasons`` (commits the hook could not follow for a view,
+        per reason — the view is left behind, not marked stale;
         ``stale_marks`` their sum). Read time: ``catch_ups`` (refreshes
         computed from the base tables' deltas) and ``recompute_reasons``
         (refreshes recomputed instead, per reason; ``recomputes`` their

@@ -3,58 +3,55 @@
 A materialized view stores the result of its (provenance-rewritten)
 query in an ordinary :class:`~repro.storage.table.HeapTable`, so MVCC
 snapshots, the WAL and table statistics cover the rows for free. What
-this module adds is the *maintenance* machinery, at two timings:
+this module adds is the *maintenance*: one step, run at two timings.
 
 * :func:`compile_program` turns the analyzer's rewritten algebra tree
   into a :class:`MatviewProgram` — a tiny direct interpreter over
   SPJ-shaped plans (scans, projections, selections, inner/cross joins,
-  and the rewriter's ``BaseRelationNode`` markers), optionally ending in
-  one aggregate: projections over a ``GROUP BY`` (or global) aggregate
+  and the rewriter's ``BaseRelationNode`` markers) ending in a
+  *terminal*: the derived rows themselves (SPJ views), or one
+  aggregate — projections over a ``GROUP BY`` (or global) aggregate
   whose child is SPJ. Any other shape (DISTINCT, set operations, outer
   joins, sublinks, parameters, HAVING/ORDER BY/LIMIT above the
   aggregate, an aggregate anywhere else) is **not maintainable**: a read
   that finds it behind recomputes it through the connection's engine.
 
-* **SPJ views are maintained at commit.** :class:`MatviewMaintainer`
-  hooks transaction commit: for every SPJ view whose base tables a
-  commit touches, it reads each base table's change from the commit's
-  own record (:meth:`CommitChange.resolve()
-  <repro.storage.mvcc.CommitChange.resolve>` — the write set the
-  transaction holds, never a comparison of table states) and propagates
-  it through the program — removed combinations are found by source-row
-  -id intersection, added combinations by the telescoping expansion —
-  and emits one extra :class:`~repro.storage.mvcc.CommitChange` that
-  updates the view's heap *in the same commit* (so the WAL and crash
-  recovery see an atomic unit). A commit it cannot follow (version
-  skew, a recovered view without its program, interpreter errors) marks
-  the view stale, counted per reason in
-  :attr:`MatviewMaintainer.stale_reasons`.
+* **One step, two timings.** A maintainable view's
+  :class:`MatviewState` pins the ``(rows, version, ids)`` base-table
+  states its contents reflect (installed states are never mutated) and
+  the terminal's *fold*: the derived rows in source-id order, or the
+  groups. :meth:`MatviewProgram.advance` moves it across each base
+  table's change — the telescoping expansion over the old states yields
+  the removed derived rows, the one over the new states the added ones —
+  and the terminal refolds both (an aggregate through
+  :data:`~repro.executor.expr_eval.AGGREGATES`' ``accumulate`` and
+  ``retract``, re-terminating only the touched groups): work in the
+  change, never in a base table or the view. SPJ views advance in the
+  committing transaction (:meth:`MatviewMaintainer.on_commit`, the
+  change read from the commit's own record, :meth:`CommitChange.resolve()
+  <repro.storage.mvcc.CommitChange.resolve>`), emitting one extra
+  :class:`~repro.storage.mvcc.CommitChange` for the view's heap, so the
+  WAL and crash recovery see an atomic unit. Aggregate views advance at
+  their first read outside a transaction (:meth:`MatviewMaintainer.catch_up`,
+  the change read from :meth:`~repro.storage.table.HeapTable.changes_since`),
+  installing under a compare-and-swap on the state without a catalog
+  version bump, so cached plans stay valid.
 
-* **Aggregate views catch up at their first read.** The commit hook
-  does no work for them and marks nothing: such a view is simply
-  *behind* — its ``base_versions`` no longer match the tables, so
-  readers inside a transaction unfold it. A read outside one calls
-  :meth:`MatviewMaintainer.catch_up`, which takes each base table's net
-  change since the view's base version from
-  :meth:`~repro.storage.table.HeapTable.changes_since`, runs the same
-  telescoping expansion twice — over the new states for the child's
-  added derived rows, over the old states the view's
-  :class:`AggregateState` keeps for the removed ones — and folds both
-  into per-group accumulators through the one table of aggregate rules,
-  :data:`~repro.executor.expr_eval.AGGREGATES` (``accumulate`` and
-  ``retract``), re-terminating only the touched groups: work in the
-  change, the groups and the touched groups, never in a base table. The
-  new state, the rows and the advanced base versions install together
-  under a compare-and-swap on the state, without a catalog version bump
-  (cached plans stay valid). What the rules cannot follow is recomputed
-  under a reason counted in :attr:`MatviewMaintainer.recompute_reasons`:
-  ``"delta log gap"`` (``changes_since`` cannot say), ``"float
-  aggregate"`` (sum/avg/min/max over floats, or float group keys:
-  float results depend on input order), ``"distinct aggregate"``,
-  ``"min/max retraction"`` (the current extreme left the group),
-  ``"no aggregate state"`` (recovered from disk: the state is not
-  persisted), ``"not maintainable"`` and ``"marked stale"`` (a view
-  redefinition or a failed refresh).
+* **Behind, not stale.** A view whose ``base_versions`` lag its tables
+  is *behind*: readers inside a transaction unfold it, the next read
+  outside one catches it up. Aggregate views fall behind on every base
+  commit; an SPJ view on a commit the hook cannot follow — one it was
+  already behind for, one it has no state for (recovered from disk), or
+  one whose step fails (counted per reason in
+  :attr:`MatviewMaintainer.stale_reasons`). The hook never marks a view
+  stale nor touches the catalog version. What a catch-up cannot follow
+  is recomputed under a reason counted in
+  :attr:`MatviewMaintainer.recompute_reasons`: ``"delta log gap"``
+  (``changes_since`` cannot say), ``"float aggregate"`` (float results
+  depend on input order), ``"distinct aggregate"``, ``"min/max
+  retraction"`` (the current extreme left the group), ``"no maintenance
+  state"`` (not persisted), ``"not maintainable"`` and ``"marked
+  stale"`` (a view redefinition or a failed refresh).
 
 Ordering: row ids ascend in every base-table state — appended rows take
 fresh ids from one global counter, every mutator keeps row order, a
@@ -66,7 +63,7 @@ sequence of base leaf positions, hence in the tuple of source row ids.
 The interpreter therefore tags each derived row with that tuple alone:
 it keys removal, and sorting by it is the canonical order — no
 order-preserving join machinery is needed, and the stored rows are
-bit-identical to the unfolded query on every engine. Across a commit
+bit-identical to the unfolded query on every engine. Across a step
 survivors keep their relative order and the sorted additions merge in.
 An aggregate's groups come out in first-seen order over that sequence:
 ascending by each group's smallest member source-id tuple, so deleting
@@ -86,15 +83,15 @@ and, with old state ``O`` and the removed rows' old contents ``R``,
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left, insort
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
 from ..datatypes import SQLType, is_true, row_identity, value_identity
+from ..errors import CatalogError
 from ..executor.expr_eval import (
     AGGREGATES,
     AggregateAccumulator,
@@ -106,10 +103,9 @@ from ..storage import mvcc
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..catalog.catalog import Catalog, MatviewEntry
-    from ..storage.table import HeapTable
 
 __all__ = [
-    "AggregateState",
+    "MatviewState",
     "MatviewContents",
     "MatviewProgram",
     "MatviewMaintainer",
@@ -136,17 +132,23 @@ def _leaf_rows(rows, ids) -> list:
     return [(row, (rid,)) for row, rid in zip(rows, ids)]
 
 
+def _locate(items: list, keys, key=None) -> list:
+    """The ascending positions of *keys* in *items* (ascending by *key*),
+    found by bisection."""
+    out = []
+    for wanted in sorted(keys):
+        pos = bisect_left(items, wanted, key=key)
+        if pos == len(items) or (key(items[pos]) if key else items[pos]) != wanted:
+            raise LookupError(f"{wanted} is not in the state it left")
+        out.append(pos)
+    return out
+
+
 def _rows_by_id(state: tuple, wanted) -> list:
     """The derived leaf rows of the ids *wanted* in the ``(rows,
-    version, ids)`` *state*, found by bisection (ids ascend)."""
+    version, ids)`` *state*."""
     rows, _, ids = state
-    out = []
-    for rid in sorted(wanted):
-        pos = bisect_left(ids, rid)
-        if pos == len(ids) or ids[pos] != rid:
-            raise LookupError(f"row id {rid} is not in the state it left")
-        out.append((rows[pos], (rid,)))
-    return out
+    return [(rows[pos], (ids[pos],)) for pos in _locate(ids, wanted)]
 
 
 class _LeafState:
@@ -325,8 +327,53 @@ class _JoinStep(_Step):
 
 
 # ---------------------------------------------------------------------------
-# The aggregate fold
+# Terminals: what a view's derived rows fold into
 # ---------------------------------------------------------------------------
+
+
+def _drop(items: list, dead: list) -> list:
+    """*items* without the ascending positions *dead*."""
+    out, at = [], 0
+    for pos in dead:
+        out += items[at:pos]
+        at = pos + 1
+    return out + items[at:]
+
+
+def _place(items: list, placed: list) -> list:
+    """*items* with each ``(position, item)`` of *placed* (ascending
+    final positions) put in."""
+    out, at = [], 0
+    for pos, item in placed:
+        take = pos - len(out)
+        out += items[at : at + take]
+        at += take
+        out.append(item)
+    return out + items[at:]
+
+
+class _Rows:
+    """The terminal of an SPJ view: the fold is the view's derived rows
+    themselves, sorted by source ids — the stored order."""
+
+    at_commit = True
+    blocker = None
+
+    @staticmethod
+    def fold(derived: list) -> list:
+        return derived
+
+    @staticmethod
+    def rows(fold: list) -> list:
+        return [values for values, _ in fold]
+
+    @staticmethod
+    def refold(fold: list, gone: list, added: list) -> list:
+        """*fold* without the *gone* derived rows and with the sorted
+        *added* ones merged in (two ascending runs: one merge pass)."""
+        merged = _drop(fold, _locate(fold, map(_source_ids, gone), _source_ids)) + added
+        merged.sort(key=_source_ids)
+        return merged
 
 
 class _Group:
@@ -348,28 +395,17 @@ class _Group:
         )
 
 
-class AggregateState(NamedTuple):
-    """An aggregate view's fold as of the base-table states it was
-    computed from. ``bases`` maps each base table to that ``(rows,
-    version, ids)`` state — installed states are never mutated, so the
-    removed rows' old contents can be read there — and ``groups`` maps
-    each group's identity key to its :class:`_Group`, in output order.
-    A value: a catch-up builds a new one (sharing untouched groups) and
-    installs it with the rows."""
-
-    bases: dict
-    groups: dict
-
-
 class _Aggregate:
-    """The fold an aggregate view's program ends in: ``GROUP BY`` keys
-    and ``(func, distinct, argument)`` aggregates over the SPJ child's
+    """The terminal of an aggregate view: ``GROUP BY`` keys and
+    ``(func, distinct, argument)`` aggregates over the SPJ child's
     derived rows, then the projections above the aggregate (innermost
-    first). ``blocker`` is the reason a catch-up cannot follow it: the
-    view still computes through the fold, it just recomputes whenever a
-    read finds it behind."""
+    first). The fold maps each group's identity key to its
+    :class:`_Group`, in output order. ``blocker`` is the reason a
+    catch-up cannot follow it: the view still computes through the fold,
+    it just recomputes whenever a read finds it behind."""
 
     __slots__ = ("group_fns", "specs", "projections", "blocker")
+    at_commit = False
 
     def __init__(self, group_fns, specs, projections, blocker):
         self.group_fns = group_fns
@@ -423,12 +459,16 @@ class _Aggregate:
             group.row = self.output(group)
         return groups
 
+    @staticmethod
+    def rows(groups: dict) -> list:
+        return [group.row for group in groups.values()]
+
     def refold(self, groups: dict, gone: list, added: list) -> "dict | str":
         """*groups* (left as they are) with the derived rows *gone*
-        retracted and *added* accumulated, or the reason the rules cannot
-        follow. Touched groups are copied and re-terminated, emptied ones
-        dropped; the groups re-sort only when one appeared or a first
-        member changed."""
+        retracted and the sorted *added* accumulated, or the reason the
+        rules cannot follow. Touched groups are copied and re-terminated,
+        emptied ones dropped; the groups re-sort only when one appeared
+        or a first member changed."""
         groups = dict(groups)
         touched: dict = {}
 
@@ -452,7 +492,7 @@ class _Aggregate:
             reason = self.retract(group, values)
             if reason is not None:
                 return reason
-        for values, sids in sorted(added, key=_source_ids):
+        for values, sids in added:
             group = touch(values)
             insort(group.members, sids)
             self.accumulate(group, values)
@@ -498,16 +538,25 @@ def _check_exprs(exprs) -> None:
                 raise _Unsafe
 
 
+class MatviewState(NamedTuple):
+    """A maintainable view's state: ``bases`` maps each base table to the
+    ``(rows, version, ids)`` state its contents reflect (a step reads the
+    removed rows' old contents there), ``fold`` is what the terminal
+    keeps — the derived rows sorted by source ids (SPJ views) or the
+    groups in output order (aggregate views). A value: a step builds a
+    new one, sharing what it did not touch."""
+
+    bases: dict
+    fold: object
+
+
 class MatviewContents(NamedTuple):
-    """A view's computed contents plus the maintenance state that goes
-    with them, installed as one unit by :meth:`MatviewMaintainer.install`:
-    the rows, per-row source ids (SPJ views) or the aggregate state, the
-    base versions they reflect, the base tables, and the program
-    (``None`` when the shape is not maintainable)."""
+    """A view's computed contents as :meth:`MatviewMaintainer.install`
+    stores them: the rows, the state and program (``None`` when the shape
+    is not maintainable), the base versions and the base tables."""
 
     rows: list
-    source_ids: Optional[list]
-    agg_state: Optional[AggregateState]
+    state: Optional[MatviewState]
     base_versions: dict
     base_tables: tuple
     program: Optional["MatviewProgram"]
@@ -515,16 +564,24 @@ class MatviewContents(NamedTuple):
 
 class MatviewProgram:
     """A compiled delta-safe plan: the SPJ step tree, the left-to-right
-    base table of every leaf, the aggregate fold the view ends in (if
-    any), and the persistent committed-state cache (``step index ->
-    (leaf tokens, result)``, one entry per join step)."""
+    base table of every leaf, the terminal the view ends in, and the
+    persistent committed-state cache (``step index -> (leaf tokens,
+    result)``, one entry per join step)."""
 
-    def __init__(self, root: _Step, leaves: list[str], schema, aggregate=None):
+    def __init__(self, root: _Step, leaves: list[str], terminal):
         self.root = root
         self.leaves = leaves
-        self.schema = schema
-        self.aggregate: Optional[_Aggregate] = aggregate
+        self.terminal = terminal
         self._full_cache: dict = {}
+
+    def contents(self, state: MatviewState, base_tables: tuple) -> MatviewContents:
+        return MatviewContents(
+            self.terminal.rows(state.fold),
+            state,
+            {name: base[1] for name, base in state.bases.items()},
+            base_tables,
+            self,
+        )
 
     # -- full evaluation (CREATE / REFRESH) ----------------------------
     def compute_full(self, catalog: "Catalog", base_tables: tuple) -> MatviewContents:
@@ -543,23 +600,40 @@ class MatviewProgram:
                 )
         states = [built[name] for name in self.leaves]
         derived = sorted(self.root.rows(_Ctx(states, {}, {})), key=_source_ids)
-        versions = {name: state[1] for name, state in bases.items()}
-        if self.aggregate is None:
-            rows = [d[0] for d in derived]
-            return MatviewContents(
-                rows, [d[1] for d in derived], None, versions, base_tables, self
-            )
-        groups = self.aggregate.fold(derived)
-        return MatviewContents(
-            [group.row for group in groups.values()],
-            None,
-            AggregateState(bases, groups),
-            versions,
-            base_tables,
-            self,
+        return self.contents(
+            MatviewState(bases, self.terminal.fold(derived)), base_tables
         )
 
     # -- delta evaluation -----------------------------------------------
+    def advance(self, state: MatviewState, deltas: dict, leaf) -> "tuple | str":
+        """The one maintenance step: *state* moved across *deltas* (base
+        table -> :class:`_TableDelta`; ``leaf(name, base)`` is the leaf of
+        a table without one, which did not change). Returns ``(new state,
+        removed derived rows, added ones sorted by source ids)``, or the
+        reason the terminal cannot follow."""
+        leaf_deltas = [deltas.get(name) for name in self.leaves]
+        old_states, new_states = [], []
+        for name, delta in zip(self.leaves, leaf_deltas):
+            if delta is None:
+                unchanged = leaf(name, state.bases[name])
+                old_states.append(unchanged)
+                new_states.append(unchanged)
+            else:
+                old_states.append(delta.old)
+                new_states.append(delta.full)
+        cache: dict = {}
+        gone = self.expand(leaf_deltas, old_states, _pick_removed, cache)
+        added = self.expand(leaf_deltas, new_states, _pick_added, cache)
+        added.sort(key=_source_ids)
+        fold = self.terminal.refold(state.fold, gone, added)
+        if isinstance(fold, str):
+            return fold
+        bases = {
+            name: deltas[name].new if name in deltas else base
+            for name, base in state.bases.items()
+        }
+        return MatviewState(bases, fold), gone, added
+
     def expand(self, leaf_deltas: list, after: list, pick, cache: dict) -> list:
         """The telescoping sum over the leaves whose table changed —
         ``Σ_i U_1 × … × U_{i-1} × pick(Δ_i) × after_{i+1} × … ×
@@ -696,12 +770,12 @@ def compile_program(root: an.Node, catalog: "Catalog") -> Optional[MatviewProgra
     try:
         if isinstance(top, an.Aggregate):
             root_step = build(top.child)
-            aggregate = build_aggregate(top, projections)
+            terminal = build_aggregate(top, projections)
         else:
-            root_step, aggregate = build(root), None
+            root_step, terminal = build(root), _Rows
     except _Unsafe:
         return None
-    return MatviewProgram(root_step, leaves, root.schema, aggregate)
+    return MatviewProgram(root_step, leaves, terminal)
 
 
 def base_table_names(root: an.Node, catalog: "Catalog") -> tuple[str, ...]:
@@ -741,12 +815,13 @@ class _TableDelta:
     """One base table's change between two of its states, shared by
     every view that reads it: the added rows (inserts plus
     updated-to-new-content), the removed row ids (deletes plus the old
-    halves of updates), and the leaf states the telescoping expansion
-    reads — ``delta`` (the added rows), ``gone`` (the removed rows' old
-    contents), ``full``/``old`` (the complete new/old state) and
-    :attr:`unchanged` (``U = N \\ A = O \\ R``)."""
+    halves of updates), the ``new`` ``(rows, version, ids)`` state, and
+    the leaf states the telescoping expansion reads — ``delta`` (the
+    added rows), ``gone`` (the removed rows' old contents),
+    ``full``/``old`` (the complete new/old state) and :attr:`unchanged`
+    (``U = N \\ A = O \\ R``)."""
 
-    __slots__ = ("added", "removed", "delta", "gone", "full", "old", "_sub")
+    __slots__ = ("added", "removed", "new", "delta", "gone", "full", "old", "_sub")
 
     def __init__(self, name: str, previous: tuple, new: tuple, change: tuple):
         deleted, updated, inserted = change
@@ -754,6 +829,7 @@ class _TableDelta:
         # of the new one (under the same row id).
         added = self.added = [(row, rid) for rid, row in updated + inserted]
         removed = self.removed = set(deleted).union(rid for rid, _ in updated)
+        self.new = new
         span = (previous[1], new[1])
         self.delta = _LeafState(
             ("delta", name, span), lambda: [(row, (rid,)) for row, rid in added]
@@ -779,73 +855,72 @@ class _TableDelta:
         return self._sub if self.added else self.full
 
 
+def _count(ledger: dict, reason: str) -> None:
+    ledger[reason] = ledger.get(reason, 0) + 1
+
+
 class MatviewMaintainer:
     """Keeps materialized views up to date with committed base-table
-    changes. Installed on the :class:`~repro.storage.mvcc.TransactionManager`
-    by the database: :meth:`on_commit` is invoked under the manager lock
-    with every staged :class:`~repro.storage.mvcc.CommitChange` of a
-    commit, before the write-ahead hook runs, and maintains SPJ views in
-    the same commit. Aggregate views are caught up by :meth:`catch_up`
-    when a read finds them behind."""
+    changes, one :meth:`MatviewProgram.advance` at a time. Installed on
+    the :class:`~repro.storage.mvcc.TransactionManager` by the database:
+    :meth:`on_commit` is invoked under the manager lock with every staged
+    :class:`~repro.storage.mvcc.CommitChange` of a commit, before the
+    write-ahead hook runs, and advances SPJ views in the same commit;
+    :meth:`catch_up` advances a view a read finds behind. *lock* is that
+    manager lock: installs take it too, so none lands between a commit's
+    hook, its log record and its install."""
 
-    def __init__(self, catalog: "Catalog"):
+    def __init__(self, catalog: "Catalog", lock):
         self.catalog = catalog
         # Telemetry (surfaced through Database.matview_stats / STATS).
         self.incremental_commits = 0
         self.rows_added = 0
         self.rows_removed = 0
-        #: Commits maintenance could not follow, counted per reason.
+        #: Commits whose step failed for a view, counted per reason.
         self.stale_reasons: dict[str, int] = {}
         #: Read-time refreshes computed incrementally ...
         self.catch_ups = 0
         #: ... and recomputed instead, counted per reason.
         self.recompute_reasons: dict[str, int] = {}
-        # Per-table committed leaf state: name -> (heap, state).
-        self._ext: dict[str, tuple] = {}
-        # Serializes installs (a catch-up's is conditional) and the
-        # read-time counters, which reader sessions bump concurrently.
-        self._lock = threading.Lock()
+        # Per table, the leaf of the latest state a step left alone.
+        self._ext: dict[str, _LeafState] = {}
+        self._lock = lock
 
-    def _ext_state(self, name: str, heap: "HeapTable", state: tuple) -> _LeafState:
-        """The ``(rows, version, ids)`` *state* of a table the change
-        leaves alone, memoized per version stamp."""
+    def _leaf(self, name: str, state: tuple) -> _LeafState:
+        """The leaf of a table's ``(rows, version, ids)`` *state*, memoized
+        per version stamp (stamps are never reused)."""
         rows, version, ids = state
         known = self._ext.get(name)
-        if known is None or known[0] is not heap or known[1].token[2] != version:
-            leaf = _LeafState(("full", name, version), partial(_leaf_rows, rows, ids))
-            known = self._ext[name] = (heap, leaf)
-        return known[1]
-
-    def _delta(self, name: str, change: mvcc.CommitChange) -> _TableDelta:
-        new = (change.rows, change.version, change.ids)
-        return _TableDelta(name, change.previous, new, change.resolve())
+        if known is None or known.token[2] != version:
+            known = self._ext[name] = _LeafState(
+                ("full", name, version), partial(_leaf_rows, rows, ids)
+            )
+        return known
 
     # -- installs -------------------------------------------------------
     def install(
         self,
         entry: "MatviewEntry",
         contents: MatviewContents,
-        expected: Optional[AggregateState] = None,
+        expected: Optional[MatviewState] = None,
     ) -> None:
         """Store computed contents with their maintenance state: the
         rows first, the base versions last (until then readers see the
         view behind and unfold). CREATE and REFRESH install
         unconditionally and mark the view fresh. A catch-up passes the
         state it started from as *expected* and installs only while that
-        is still the view's state — a concurrent catch-up, refresh or
-        staleness mark wins, so nothing regresses or applies twice — and
-        advances the base versions without a catalog version bump."""
+        is still the view's state (so nothing regresses or applies twice),
+        advancing the base versions without a catalog version bump."""
         with self._lock:
-            if expected is not None and (entry.agg_state is not expected or entry.stale):
+            if expected is not None and (entry.state is not expected or entry.stale):
                 return
             rows = contents.rows
             entry.table._install_direct(rows, mvcc.new_row_ids(len(rows)))
             program = contents.program
             entry.base_tables = contents.base_tables
-            entry.delta_safe = program is not None and program.aggregate is None
+            entry.delta_safe = program is not None and program.terminal.at_commit
             entry.program = program
-            entry.source_ids = contents.source_ids
-            entry.agg_state = contents.agg_state
+            entry.state = contents.state
             if expected is None:
                 entry.base_versions = contents.base_versions
                 self.catalog.set_matview_fresh(entry.name)
@@ -854,9 +929,7 @@ class MatviewMaintainer:
                 self.catch_ups += 1
 
     # -- the commit hook ------------------------------------------------
-    def on_commit(
-        self, seq: int, changes: list[mvcc.CommitChange]
-    ) -> tuple[list[mvcc.CommitChange], Optional[Callable[[], None]]]:
+    def on_commit(self, seq: int, changes: list) -> "tuple[list, Optional[Callable]]":
         catalog = self.catalog
         if not catalog._matviews:
             return [], None
@@ -865,19 +938,21 @@ class MatviewMaintainer:
         finalizers: list[Callable[[], None]] = []
         deltas: dict[str, _TableDelta] = {}
         for entry in list(catalog._matviews.values()):
-            # Views maintained elsewhere (aggregates: at first read) or
-            # not at all just fall behind; reads bring them up to date.
-            if entry.stale or not entry.delta_safe:
+            # Aggregate views advance at their first read; views without
+            # a state (not maintainable, or recovered) recompute there.
+            state = entry.state
+            if entry.stale or not entry.delta_safe or state is None:
                 continue
-            relevant = [t for t in entry.base_tables if t in by_name]
-            if not relevant:
+            if by_name.keys().isdisjoint(state.bases):
                 continue
             try:
-                reason = self._maintain(entry, relevant, by_name, deltas, extra, finalizers)
+                outcome = self._follow(entry, state, by_name, deltas, extra)
             except Exception as exc:
-                reason = f"error: {type(exc).__name__}"
-            if reason is not None:
-                finalizers.append(partial(self._degrade, entry.name, reason))
+                outcome = f"error: {type(exc).__name__}"
+            if isinstance(outcome, str):
+                outcome = partial(_count, self.stale_reasons, outcome)
+            if outcome is not None:
+                finalizers.append(outcome)
         if not finalizers:
             return [], None
 
@@ -887,127 +962,67 @@ class MatviewMaintainer:
 
         return extra, finalize
 
-    def mark_stale(self, name: str) -> None:
-        """Flag a view stale so neither the commit hook nor a catch-up
-        touches it until its next refresh (refresh fencing, a changed
-        view definition, a failed refresh). Not a degradation:
-        ``stale_reasons`` counts only the commits maintenance could not
-        follow."""
-        try:
-            self.catalog.mark_matview_stale(name)
-        except Exception:  # pragma: no cover - dropped concurrently
-            pass
-
-    def _degrade(self, name: str, reason: str) -> None:
-        self.mark_stale(name)
-        self.stale_reasons[reason] = self.stale_reasons.get(reason, 0) + 1
-
-    def _maintain(
-        self,
-        entry: "MatviewEntry",
-        relevant: Sequence[str],
-        by_name: dict[str, mvcc.CommitChange],
-        deltas: dict[str, _TableDelta],
-        extra: list[mvcc.CommitChange],
-        finalizers: list[Callable[[], None]],
-    ) -> Optional[str]:
-        """Stage *entry*'s share of the commit; returns ``None``, or the
-        reason the view has to go stale instead."""
-        program = entry.program
-        if program is None or entry.source_ids is None:
-            # Recovered from disk: the program is rebuilt by a refresh.
-            return "no maintenance state"
-        catalog = self.catalog
-        for name in entry.base_tables:
+    def _follow(
+        self, entry: "MatviewEntry", state: MatviewState, by_name: dict, deltas: dict, extra: list
+    ) -> "Callable[[], None] | str | None":
+        """Stage *entry*'s share of the commit in *extra* and return the
+        finalizer that records it — or ``None`` when the view was already
+        behind the states the commit starts from, or the reason its step
+        cannot follow. Either way the view is left behind."""
+        for name, base in state.bases.items():
             change = by_name.get(name)
-            state = change.previous if change else catalog.table(name).table._state
-            if entry.base_versions.get(name) != state[1]:
-                # A base commit landed that maintenance did not follow
-                # (e.g. between a refresh's recompute and its install):
-                # the stored rows no longer track the bases.
-                return "version skew"
+            if change is not None and name not in deltas:
+                after = (change.rows, change.version, change.ids)
+                deltas[name] = _TableDelta(name, change.previous, after, change.resolve())
+            current = change.previous if change else self.catalog.table(name).table._state
+            if current[1] != base[1]:
+                return None
+        step = entry.program.advance(state, deltas, self._leaf)
+        if isinstance(step, str):
+            return step
+        new, gone, added = step
         heap = entry.table
-        old_rows, _, old_ids = heap._state
-        sids = entry.source_ids
-        if len(sids) != len(old_rows):
-            return "source ids out of step"
-        for name in relevant:
-            if name not in deltas:
-                deltas[name] = self._delta(name, by_name[name])
-        leaf_deltas = [deltas.get(name) for name in program.leaves]
-
-        # Removal: any stored row deriving from a removed base row dies.
-        dead: set[int] = set()
-        for i, delta in enumerate(leaf_deltas):
-            if delta is not None and delta.removed:
-                gone = delta.removed
-                dead.update(k for k, sid in enumerate(sids) if sid[i] in gone)
-        removed_mv_ids = [old_ids[k] for k in sorted(dead)]
-
-        # Addition: the telescoping expansion over the new states. A
-        # changed table's full new state is built only if a term scans it.
-        full_states = []
-        for name, delta in zip(program.leaves, leaf_deltas):
-            if delta is None:
-                base = catalog.table(name).table
-                full_states.append(self._ext_state(name, base, base._state))
-            else:
-                full_states.append(delta.full)
-        additions = program.expand(leaf_deltas, full_states, _pick_added, {})
-        additions.sort(key=_source_ids)
-        add_ids = mvcc.new_row_ids(len(additions))
-
-        # Survivors keep their source ids, hence their relative order:
-        # two ascending runs, which the sort merges in one pass.
-        merged = [
-            stored
-            for k, stored in enumerate(zip(sids, old_rows, old_ids))
-            if k not in dead
+        old_ids = heap._state[2]
+        dead = _locate(state.fold, map(_source_ids, gone), _source_ids)
+        placed = [
+            (bisect_left(new.fold, sids, key=_source_ids), rid)
+            for (_, sids), rid in zip(added, mvcc.new_row_ids(len(added)))
         ]
-        merged += [(sid, row, rid) for (row, sid), rid in zip(additions, add_ids)]
-        merged.sort(key=itemgetter(0))
-        final_rows = [stored[1] for stored in merged]
-        final_ids = [stored[2] for stored in merged]
-        final_sids = [stored[0] for stored in merged]
-
-        new_base_versions = dict(entry.base_versions)
-        new_base_versions.update((name, by_name[name].version) for name in relevant)
-
-        added_id_set = set(add_ids)
-        insert_at = [
-            (index, rid, row)
-            for index, (_, row, rid) in enumerate(merged)
-            if rid in added_id_set
-        ]
+        base_versions = {name: base[1] for name, base in new.bases.items()}
         # The WAL logs the positioned delta (not the full contents) plus
         # the base versions it advances to, so recovery replays both the
         # rows and the freshness bookkeeping.
         wal_delta = {
-            "remove": removed_mv_ids,
-            "insert_at": insert_at,
-            "base_versions": new_base_versions,
+            "remove": [old_ids[k] for k in dead],
+            "insert_at": [(pos, rid, row) for (pos, rid), (row, _) in zip(placed, added)],
+            "base_versions": base_versions,
         }
+        ids = _place(_drop(old_ids, dead), placed)
+        rows = _Rows.rows(new.fold)
         extra.append(
             MatviewCommitChange(
-                heap,
-                heap._state,
-                mvcc.next_stamp(),
-                final_rows,
-                final_ids,
-                None,
-                wal_delta=wal_delta,
+                heap, heap._state, mvcc.next_stamp(), rows, ids, None, wal_delta=wal_delta
             )
         )
 
         def finalize() -> None:
-            entry.base_versions = new_base_versions
-            entry.source_ids = final_sids
+            entry.state, entry.base_versions = new, base_versions
             self.incremental_commits += 1
-            self.rows_added += len(additions)
-            self.rows_removed += len(removed_mv_ids)
+            self.rows_added += len(added)
+            self.rows_removed += len(dead)
 
-        finalizers.append(finalize)
-        return None
+        return finalize
+
+    def mark_stale(self, name: str) -> None:
+        """Flag a view stale so neither the commit hook nor a catch-up
+        touches it until its next refresh (refresh fencing, a changed
+        view definition, a failed refresh). Never done by a commit:
+        ``stale_reasons`` counts the steps that failed, which leave the
+        view behind."""
+        try:
+            self.catalog.mark_matview_stale(name)
+        except CatalogError:  # dropped concurrently
+            pass
 
     # -- read-time catch-up ---------------------------------------------
     def catch_up(self, entry: "MatviewEntry", in_snapshot) -> Optional[str]:
@@ -1015,22 +1030,22 @@ class MatviewMaintainer:
         table's :meth:`~repro.storage.table.HeapTable.changes_since` its
         base version. *in_snapshot(fn)* runs ``fn`` in a fresh read
         snapshot. Returns ``None`` when the view needs nothing more
-        (caught up here, or by a concurrent catch-up first), else the
+        (caught up here, or by a concurrent step first), else the
         reason it has to be recomputed."""
         if entry.stale:
             return "marked stale"
         # Read before the snapshot begins: whoever installed this state
         # did so from a snapshot no newer than ours, so the delta log
         # leads forward from it.
-        state, program = entry.agg_state, entry.program
-        if program is None:
+        state, program = entry.state, entry.program
+        if state is None:
             return "not maintainable"  # or recovered: see record_recompute
-        if program.aggregate is None or state is None:
-            return "version skew"  # a commit-maintained view out of step
-        if program.aggregate.blocker is not None:
-            return program.aggregate.blocker
+        if program.terminal.blocker is not None:
+            return program.terminal.blocker
         try:
-            outcome = in_snapshot(partial(self._catch_up_contents, entry, state))
+            outcome = in_snapshot(
+                partial(self._catch_up_contents, program, state, entry.base_tables)
+            )
         except Exception as exc:
             return f"error: {type(exc).__name__}"
         if isinstance(outcome, str):
@@ -1039,58 +1054,32 @@ class MatviewMaintainer:
             self.install(entry, outcome, expected=state)
         return None
 
-    def _catch_up_contents(
-        self, entry: "MatviewEntry", state: AggregateState
-    ) -> "MatviewContents | str | None":
-        """*entry*'s contents at the active snapshot, folded from *state*
-        (``None``: already there; a str: why the rules cannot follow)."""
-        program = entry.program
-        catalog = self.catalog
-        bases: dict = {}
+    def _catch_up_contents(self, program, state, base_tables) -> "MatviewContents | str | None":
+        """The contents at the active snapshot, advanced from *state*
+        (``None``: already there; a str: why the step cannot follow)."""
         deltas: dict[str, _TableDelta] = {}
         for name, old in state.bases.items():
-            heap = catalog.table(name).table
-            rows, ids = heap._visible_pair()
-            new = bases[name] = (rows, heap.version, ids)
-            if new[1] == old[1]:
+            heap = self.catalog.table(name).table
+            if heap.version == old[1]:
                 continue
             change = heap.changes_since(old[1])
             if change is None:
                 return "delta log gap"
-            deltas[name] = _TableDelta(name, old, new, change)
+            rows, ids = heap._visible_pair()
+            deltas[name] = _TableDelta(name, old, (rows, heap.version, ids), change)
         if not deltas:
             return None
-        leaf_deltas = [deltas.get(name) for name in program.leaves]
-        old_states, new_states = [], []
-        for name, delta in zip(program.leaves, leaf_deltas):
-            if delta is None:
-                leaf = self._ext_state(name, catalog.table(name).table, bases[name])
-                old_states.append(leaf)
-                new_states.append(leaf)
-            else:
-                old_states.append(delta.old)
-                new_states.append(delta.full)
-        cache: dict = {}
-        gone = program.expand(leaf_deltas, old_states, _pick_removed, cache)
-        added = program.expand(leaf_deltas, new_states, _pick_added, cache)
-        groups = program.aggregate.refold(state.groups, gone, added)
-        if isinstance(groups, str):
-            return groups
-        return MatviewContents(
-            [group.row for group in groups.values()],
-            None,
-            AggregateState(bases, groups),
-            {name: base[1] for name, base in bases.items()},
-            entry.base_tables,
-            program,
-        )
+        step = program.advance(state, deltas, self._leaf)
+        if isinstance(step, str):
+            return step
+        return program.contents(step[0], base_tables)
 
     def record_recompute(self, entry: "MatviewEntry", reason: str) -> None:
         """Count a read-time recompute under *reason*. A view without a
-        program is either not maintainable or was recovered from disk
-        (no maintenance state survives a restart); the recompute just
+        state is either not maintainable or was recovered from disk (no
+        maintenance state survives a restart); the recompute just
         compiled it, which tells the two apart."""
-        if reason == "not maintainable" and entry.agg_state is not None:
-            reason = "no aggregate state"
+        if reason == "not maintainable" and entry.state is not None:
+            reason = "no maintenance state"
         with self._lock:
-            self.recompute_reasons[reason] = self.recompute_reasons.get(reason, 0) + 1
+            _count(self.recompute_reasons, reason)

@@ -346,9 +346,9 @@ class PersistentStore:
             )
         elif kind == "create_matview":
             # Maintenance state that cannot be persisted (the compiled
-            # program, per-row source ids) is rebuilt by the first
-            # refresh; until then the view degrades to stale-and-
-            # recompute on its first base write.
+            # program, the pinned base states and the fold) is rebuilt by
+            # the first refresh; until then a base write leaves the view
+            # behind and its next read recomputes it.
             catalog.create_matview(
                 record["name"],
                 _schema(record["columns"]),

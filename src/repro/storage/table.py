@@ -378,7 +378,7 @@ class Relation:
                 widths[i] = max(widths[i], len(cell))
         header = " | ".join(n.ljust(w) for n, w in zip(names, widths))
         separator = "-+-".join("-" * w for w in widths)
-        lines = [" " + header, separator.join(["-", "-"]) if False else "-" + separator + "-"]
+        lines = [" " + header, "-" + separator + "-"]
         for row in cells:
             lines.append(" " + " | ".join(c.ljust(w) for c, w in zip(row, widths)))
         if max_rows is not None and len(self.rows) > max_rows:

@@ -34,7 +34,7 @@ import repro
 from repro import OperationalError, SerializationError
 from repro.backend.runtime import IntegerRangeEscape, adapt_row
 from repro.engine.database import Database
-from repro.engine.matview import MatviewMaintainer
+from repro.engine.matview import _TableDelta
 from repro.storage.table import DELTA_LOG_ROWS, HeapTable
 from repro.workloads.queries import QUERY_CLASSES, with_provenance
 from repro.workloads.tpch import TpchConfig, create_tpch_db
@@ -248,7 +248,6 @@ class ChangeRecordChecker:
 
     def __init__(self, database: Database):
         self.store = database.storage
-        self.maintainer = MatviewMaintainer(database.catalog)
         self.staged: list = []
         self.commits = 0
         manager = database.manager
@@ -272,7 +271,8 @@ class ChangeRecordChecker:
 
     def stage(self, seq, change) -> None:
         wal = json.loads(json.dumps(self.store._delta_for(change)))
-        delta = self.maintainer._delta(change.table.name, change)
+        new = (change.rows, change.version, change.ids)
+        delta = _TableDelta(change.table.name, change.previous, new, change.resolve())
         prev_rows, _, prev_ids = change.previous
         self.staged.append((change, self.fingerprint(prev_rows, prev_ids), wal, delta))
 

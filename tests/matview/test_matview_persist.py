@@ -104,13 +104,14 @@ def test_matviews_survive_restart(tmp_path, mode):
         # not survive the restart.
         assert conn.run("SELECT * FROM tot").rows == _unfolded(conn, "tot")
         assert conn.pipeline.counters.matview_auto_refreshes == 1
-        assert db.matview_stats()["recompute_reasons"] == {"no aggregate state": 1}
+        assert db.matview_stats()["recompute_reasons"] == {"no maintenance state": 1}
 
 
 def test_incremental_maintenance_resumes_after_restart(tmp_path):
-    """The maintenance program is rebuilt lazily after recovery: the
-    first base write degrades the view to stale-and-recompute, one
-    refresh rebuilds the program, and maintenance is incremental again."""
+    """The maintenance state is not persisted: the first base write after
+    recovery leaves the SPJ view behind, its next read recomputes it
+    (which rebuilds the program and the state), and maintenance is
+    incremental again from the commit after."""
     d = str(tmp_path / "db")
     with Database(path=d) as db:
         conn = db.connect()
@@ -124,6 +125,57 @@ def test_incremental_maintenance_resumes_after_restart(tmp_path):
         conn.run("INSERT INTO item VALUES (7, 'a', 4)")
         assert db.matview_maintainer.incremental_commits == before + 1
         assert conn.run("SELECT * FROM busy").rows == _unfolded(conn, "busy")
+
+
+def test_first_write_after_restart_leaves_a_recovered_view_behind(tmp_path):
+    """A recovered SPJ view has no state to follow a commit with. The
+    commit leaves it behind without touching the catalog — an unrelated
+    cached plan stays valid — and the read that follows recomputes it
+    under one reason, counted once."""
+    d = str(tmp_path / "db")
+    with Database(path=d) as db:
+        conn = db.connect()
+        for sql in _SETUP[:3]:
+            conn.run(sql)
+        conn.run("CREATE TABLE other (x int)")
+    with Database(path=d) as db:
+        conn = db.connect()
+        conn.run("SELECT * FROM other")
+        version, analyzed = db.catalog.version, conn.pipeline.counters.analyze
+        conn.run("INSERT INTO item VALUES (6, 'c', 9)")
+        assert db.catalog.version == version
+        conn.run("SELECT * FROM other")
+        assert conn.pipeline.counters.analyze == analyzed
+        assert db.matview_stats()["views"]["busy"]["stale"]
+        assert conn.run("SELECT * FROM busy").rows == _unfolded(conn, "busy")
+        stats = db.matview_stats()
+        assert stats["stale_reasons"] == {}
+        assert stats["recompute_reasons"] == {"no maintenance state": 1}
+
+
+def test_a_stale_mark_the_log_cannot_record_fails_the_statement(tmp_path):
+    """``CREATE OR REPLACE VIEW`` marks every matview stale. If the log
+    cannot record that mark, the statement fails: recovery would trust
+    contents computed through the old definition."""
+    with Database(path=str(tmp_path / "db")) as db:
+        conn = db.connect()
+        for sql in _SETUP[:2] + _SETUP[5:6]:
+            conn.run(sql)
+        conn.run("CREATE MATERIALIZED VIEW mv AS SELECT id FROM heavy")
+        wal = db.storage._wal
+        append = wal.append
+
+        def failing(record):
+            if record["kind"] == "matview_stale":
+                raise OSError("disk full")
+            return append(record)
+
+        wal.append = failing
+        try:
+            with pytest.raises(OSError, match="disk full"):
+                conn.run("CREATE OR REPLACE VIEW heavy AS SELECT id FROM item WHERE qty > 2")
+        finally:
+            del wal.append
 
 
 def test_drop_matview_survives_restart(tmp_path):
@@ -205,7 +257,7 @@ def test_crash_before_catch_up_recovers_a_behind_view(tmp_path):
         assert db.matview_stats()["views"]["tot"]["stale"]
         assert conn.run("SELECT * FROM tot").rows == _unfolded(conn, "tot")
         stats = db.matview_stats()
-        assert stats["recompute_reasons"] == {"no aggregate state": 1}
+        assert stats["recompute_reasons"] == {"no maintenance state": 1}
         assert stats["catch_ups"] == 0
         conn.run("INSERT INTO item VALUES (9, 'c', 4)")
         assert conn.run("SELECT * FROM tot").rows == _unfolded(conn, "tot")

@@ -201,6 +201,38 @@ def test_refresh_refuses_schema_drift(db):
         db.run("REFRESH MATERIALIZED VIEW mv")
 
 
+def test_a_failed_commit_step_leaves_the_view_behind_for_a_catch_up(db, monkeypatch):
+    """A commit the hook cannot follow leaves the SPJ view behind — not
+    stale, no catalog version bump — and so does the next commit, which
+    finds the view already behind; the read after catches it up across
+    both, and the commit after that is maintained again."""
+    from repro.engine import matview
+
+    unfolded = "SELECT id, qty FROM item WHERE qty >= 2"
+    db.run(f"CREATE MATERIALIZED VIEW big AS {unfolded}")
+    refold = matview._Rows.refold
+
+    def failing_once(fold, gone, added):
+        monkeypatch.setattr(matview._Rows, "refold", staticmethod(refold))
+        return "injected"
+
+    monkeypatch.setattr(matview._Rows, "refold", staticmethod(failing_once))
+    version = db.catalog.version
+    db.run("INSERT INTO item VALUES (9, 'c', 7)")
+    db.run("DELETE FROM item WHERE id = 1")
+    stats = db.database.matview_stats()
+    assert stats["stale_reasons"] == {"injected": 1}
+    assert stats["views"]["big"]["stale"] and not db.catalog.matview("big").stale
+    assert db.catalog.version == version
+    assert _read_matches(db, "big", unfolded) == [(3, 5), (4, 2), (9, 7)]
+    stats = db.database.matview_stats()
+    assert (stats["catch_ups"], stats["recomputes"], stats["incremental_commits"]) == (1, 0, 0)
+    db.run("UPDATE item SET qty = 2 WHERE id = 2")
+    assert _read_matches(db, "big", unfolded) == [(2, 2), (3, 5), (4, 2), (9, 7)]
+    stats = db.database.matview_stats()
+    assert (stats["catch_ups"], stats["incremental_commits"]) == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # Stats
 # ---------------------------------------------------------------------------

@@ -111,10 +111,10 @@ def test_small_commit_then_catch_up_never_iterates_the_base_table(size: int):
     rows, version, ids = heap._state
     heap._state = (CountingList(rows), version, CountingList(ids))
     entry = db.catalog.matview("agg")
-    state = entry.agg_state
+    state = entry.state
     old_rows, old_version, old_ids = state.bases["t"]
     bases = dict(state.bases, t=(CountingList(old_rows), old_version, CountingList(old_ids)))
-    entry.agg_state = state._replace(bases=bases)
+    entry.state = state._replace(bases=bases)
     CountingList.iterations = 0
     served = conn.execute("SELECT * FROM agg").fetchall()
     assert CountingList.iterations == 0
@@ -126,8 +126,11 @@ def test_small_commit_then_catch_up_never_iterates_the_base_table(size: int):
 
 def test_superseded_state_is_freed_without_the_cyclic_collector():
     """Neither commit-time maintenance nor a catch-up leaves a reference
-    cycle holding a superseded base state: once both views are past it,
-    reference counting alone frees it."""
+    cycle holding a superseded base state, and no view's state pins one
+    it has moved past: once both views — the SPJ one advanced at commit
+    or, behind a commit the hook skipped, at its next read, and the
+    aggregate one at its reads — are past a state, reference counting
+    alone frees it."""
     import gc
     import weakref
 
@@ -141,20 +144,37 @@ def test_superseded_state_is_freed_without_the_cyclic_collector():
     conn.execute("CREATE MATERIALIZED VIEW spj AS SELECT id, val FROM t WHERE val > 10")
     conn.execute("CREATE MATERIALIZED VIEW agg AS SELECT grp, sum(val) AS s FROM t GROUP BY grp")
     heap = db.catalog.table("t").table
-    rows, version, ids = heap._state
-    heap._state = (Traced(rows), version, Traced(ids))
-    superseded = weakref.ref(heap._state[0])
-    del rows, ids
+
+    def trace() -> weakref.ref:
+        """Swap the table's state for one built on traced lists, in the
+        heap and in both views' states, which pin it."""
+        rows, version, ids = heap._state
+        traced = (Traced(rows), version, Traced(ids))
+        heap._state = traced
+        for entry in db.catalog.matviews:
+            assert entry.state.bases["t"][1] == version
+            entry.state = entry.state._replace(bases={"t": traced})
+        return weakref.ref(traced[0])
+
+    maintain = db.manager.matview_maintainer
     gc.disable()
     try:
+        superseded = trace()
         conn.execute("UPDATE t SET val = -1 WHERE id = 20")  # maintains spj
         conn.execute("SELECT * FROM agg")  # catches agg up
-        conn.execute("DELETE FROM t WHERE id = 21")
+        assert superseded() is None
+        superseded = trace()
+        db.manager.matview_maintainer = lambda seq, changes: ([], None)
+        conn.execute("DELETE FROM t WHERE id = 21")  # leaves spj behind too
+        db.manager.matview_maintainer = maintain
+        conn.execute("SELECT * FROM spj")  # catches spj up
         conn.execute("SELECT * FROM agg")
         assert superseded() is None
     finally:
+        db.manager.matview_maintainer = maintain
         gc.enable()
-    assert db.matview_stats()["catch_ups"] == 2
+    stats = db.matview_stats()
+    assert (stats["incremental_commits"], stats["catch_ups"], stats["recomputes"]) == (1, 3, 0)
 
 
 def test_failed_wal_append_leaves_no_phantom_row_in_the_maintainer(tmp_path):

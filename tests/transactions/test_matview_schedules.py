@@ -126,25 +126,37 @@ def test_two_sessions_catch_up_from_different_snapshots(engine, other_installs_f
     assert not stats["views"]["grp_tot"]["stale"]
 
 
-def test_concurrent_catch_ups_under_thread_switching():
+def test_concurrent_catch_ups_under_thread_switching(tmp_path):
     """More reader threads than cores catch the same aggregate up while
     a writer commits, with the interpreter switching threads as often as
     it can: installs race on the compare-and-swap, counters on the
-    maintainer's lock. A delta applied twice, or a catch-up from an
-    older snapshot installed over a newer one, would leave the view off
-    the unfolded query at the end."""
+    maintainer's lock. Every other commit skips the commit hook, so an
+    SPJ view is caught up by readers and maintained by the writer's next
+    commit in turn — its installs race the commit's positioned update.
+    A delta applied twice, or a catch-up from an older snapshot installed
+    over a newer one, would leave a view off the unfolded query (or its
+    fold off its stored rows) at the end; an install between a commit's
+    hook and its own install would leave the log replaying to other row
+    ids than the ones in memory."""
     import sys
     import threading
 
-    database = repro.Database()
+    path = str(tmp_path / "db")
+    database = repro.Database(path=path, durability="off")
     setup = database.connect()
     setup.execute("CREATE TABLE acct (id int, grp text, bal int)")
     setup.executemany(
         "INSERT INTO acct VALUES (?, ?, ?)",
         [(i, "xyz"[i % 3], i) for i in range(1, 31)],
     )
-    unfolded = MATVIEW_DEFS["grp_tot"]
-    setup.execute(f"CREATE MATERIALIZED VIEW grp_tot AS {unfolded}")
+    views = {name: MATVIEW_DEFS[name] for name in ("grp_tot", "hot_acct")}
+    for name, unfolded in views.items():
+        setup.execute(f"CREATE MATERIALIZED VIEW {name} AS {unfolded}")
+    maintain = database.manager.matview_maintainer
+    commits = iter(range(10**6))
+    database.manager.matview_maintainer = lambda seq, changes: (
+        maintain(seq, changes) if next(commits) % 2 else ([], None)
+    )
     failures: list = []
     done = threading.Event()
 
@@ -164,8 +176,10 @@ def test_concurrent_catch_ups_under_thread_switching():
         conn = database.connect()
         try:
             while not done.is_set():
-                conn.execute("SELECT * FROM grp_tot").fetchall()
-            conn.execute("SELECT * FROM grp_tot").fetchall()
+                for name in views:
+                    conn.execute(f"SELECT * FROM {name}").fetchall()
+            for name in views:
+                conn.execute(f"SELECT * FROM {name}").fetchall()
         except Exception as exc:  # noqa: BLE001
             failures.append(exc)
         finally:
@@ -184,10 +198,19 @@ def test_concurrent_catch_ups_under_thread_switching():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures
-    assert setup.execute("SELECT * FROM grp_tot").fetchall() == (
-        setup.execute(unfolded).fetchall()
-    )
+    for name, unfolded in views.items():
+        assert setup.execute(f"SELECT * FROM {name}").fetchall() == (
+            setup.execute(unfolded).fetchall()
+        )
+    fold = database.catalog.matview("hot_acct").state.fold
+    assert [row for row, _ in fold] == database.catalog.matview("hot_acct").table._state[0]
     stats = database.matview_stats()
-    assert stats["catch_ups"] > 0 and not stats["views"]["grp_tot"]["stale"]
+    assert stats["catch_ups"] > 0
+    assert not any(view["stale"] for view in stats["views"].values())
+    heaps = {name: database.catalog.matview(name).table._state for name in views}
+    database.close()
+    with repro.Database(path=path) as recovered:
+        for name, state in heaps.items():
+            assert recovered.catalog.matview(name).table._state == state
     reasons = [*stats["stale_reasons"], *stats["recompute_reasons"]]
     assert not any(reason.startswith("error:") for reason in reasons), reasons
