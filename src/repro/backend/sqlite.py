@@ -38,12 +38,12 @@ row-level change between the two (:meth:`~repro.storage.table.HeapTable
 .changes_since`) and applies it as ``DELETE`` / ``UPDATE`` / ``INSERT``
 by rowid — work proportional to the change. It **reloads** (the same
 code as the first load) only when it must: the table object or schema
-changed, the heap has no delta between the two stamps (a view's
-recomputed contents, a transaction's own uncommitted writes, a trimmed
-log, recovery), the delta exceeds
-a fixed share of the table, or the mirror is positional (row ids not
-ascending — a maintained view's heap, say — or a subclass with
-``delta_sync = False``). Each reload records its reason in
+changed, the heap's commit log has no way between the two stamps (a
+view's recomputed contents, a transaction's own uncommitted writes,
+recovery, entries trimmed once no live snapshot needed them), the
+delta exceeds a fixed share of the table, or the mirror is positional
+(row ids not ascending — a maintained view's heap, say — or a subclass
+with ``delta_sync = False``). Each reload records its reason in
 :attr:`~repro.backend.runtime.MirrorAdapter.reload_reasons`. Join-key
 indexes the compiler requests (:meth:`SQLiteBackend.ensure_index`) are
 built once per table, kept current by the row-level statements, and

@@ -47,11 +47,12 @@ this module adds is the *maintenance*: one step, run at two timings.
   stale nor touches the catalog version. What a catch-up cannot follow
   is recomputed under a reason counted in
   :attr:`MatviewMaintainer.recompute_reasons`: ``"delta log gap"``
-  (``changes_since`` cannot say), ``"float aggregate"`` (float results
-  depend on input order), ``"distinct aggregate"``, ``"min/max
-  retraction"`` (the current extreme left the group), ``"no maintenance
-  state"`` (not persisted), ``"not maintainable"`` and ``"marked
-  stale"`` (a view redefinition or a failed refresh).
+  (``changes_since`` finds no way along the base table's commit log),
+  ``"float aggregate"`` (float results depend on input order),
+  ``"distinct aggregate"``, ``"min/max retraction"`` (the current
+  extreme left the group), ``"no maintenance state"`` (not persisted),
+  ``"not maintainable"`` and ``"marked stale"`` (a view redefinition or
+  a failed refresh).
 
 Ordering: row ids ascend in every base-table state — appended rows take
 fresh ids from one global counter, every mutator keeps row order, a
@@ -1035,7 +1036,7 @@ class MatviewMaintainer:
         if entry.stale:
             return "marked stale"
         # Read before the snapshot begins: whoever installed this state
-        # did so from a snapshot no newer than ours, so the delta log
+        # did so from a snapshot no newer than ours, so the commit log
         # leads forward from it.
         state, program = entry.state, entry.program
         if state is None:

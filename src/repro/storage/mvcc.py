@@ -33,34 +33,34 @@ invariant: **an installed state is never mutated.**
   transaction committed a written table since this one's snapshot. If
   nothing intervened the working copy's own lists install as they stand
   (the cheap, common path). Otherwise conflicts are resolved at **row
-  granularity** (first-committer-wins per row): the table keeps a short
-  history of committed write sets, and the commit aborts with
+  granularity** (first-committer-wins per row): the commit aborts with
   :class:`~repro.errors.SerializationError` only if this transaction's
-  write set overlaps a row someone else wrote after its snapshot.
-  Disjoint-row commits *merge*: the transaction's per-row effects are
-  replayed onto the current committed state, into new lists, so two
-  transactions updating different rows of one table both succeed.
+  write set overlaps a row the table's commit log shows written after
+  its snapshot. Disjoint-row commits *merge*: the transaction's per-row
+  effects are replayed onto the current committed state, into new
+  lists, so two transactions updating different rows of one table both
+  succeed.
 
 * **One change record per commit**: the hooks that follow a commit (the
-  write-ahead log, the materialized-view maintainer, the table's delta
-  log behind the SQLite mirror) all receive the write set the
-  transaction already holds — :class:`CommitChange` carries the ids it
-  updated-or-deleted and the ids it appended — and turn it into rows
-  with :func:`resolve_write_set`, whose cost follows the change, not
-  the table. Nothing downstream compares two table states. Its inverse,
+  write-ahead log, the materialized-view maintainer) and the table's
+  commit log all receive the write set the transaction already holds —
+  :class:`CommitChange` carries the ids it updated-or-deleted and the
+  ids it appended — and turn it into rows with
+  :func:`resolve_write_set`, whose cost follows the change, not the
+  table. Nothing downstream compares two table states. Its inverse,
   :func:`apply_change`, is the only code that applies such a change to
   a state: WAL replay uses it to redo a commit, the disjoint-row merge
   to replay a transaction's effects onto the current state.
 
-* **Version GC**: each committed write appends a history entry (its
-  commit sequence number, its row-level write set, and the superseded
-  committed state) to the table. The manager weak-tracks live
-  transactions, so whenever one retires it computes the **snapshot
-  horizon** — the oldest begin sequence any live snapshot holds — and
-  frees every history entry at or below it: superseded committed
-  states no live snapshot can see. ``gc_stats()`` exposes the
-  counters (runs, versions freed, rows freed, versions retained,
-  horizon).
+* **One commit log per table**: each committed change appends a
+  :class:`HistoryEntry` (stamps from and to, write set, superseded
+  state), walked by ``HeapTable._chain`` for the conflict check and
+  ``changes_since``. The manager weak-tracks live transactions; when one
+  retires, :meth:`TransactionManager.collect` frees every superseded
+  state at or below the **snapshot horizon** (the oldest begin sequence
+  a live snapshot holds) and trims the log's oldest freed entries down
+  to :data:`DELTA_LOG_ROWS` ids. ``gc_stats()`` exposes the counters
+  (runs, versions freed, rows freed, versions retained, horizon).
 
 * **Version stamps** come from one process-global monotonic counter, so
   every distinct visible state of a table — committed or transaction-
@@ -87,7 +87,9 @@ from __future__ import annotations
 
 import threading
 import weakref
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import takewhile
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, Optional, Sequence
 
 from ..errors import OperationalError, SerializationError
@@ -200,27 +202,38 @@ def activate(txn: "Transaction") -> _Activation:
 
 
 # ---------------------------------------------------------------------------
-# Committed-write history (per table)
+# The commit log (per table)
 # ---------------------------------------------------------------------------
+
+#: Most row ids a table's commit log keeps in entries no live snapshot
+#: needs. A bound on rows, not on time: a reader of ``changes_since``
+#: that falls further behind re-reads the table.
+DELTA_LOG_ROWS = 4096
 
 
 class HistoryEntry:
-    """One committed write of a table: the commit sequence number, the
-    row-level write set (``None`` for a materialized view's
-    maintainer-built contents), and the committed state this write
-    superseded (held until GC proves no live snapshot can reach it)."""
+    """One entry of a table's commit log: *change* committed at sequence
+    ``seq`` — the state stamped ``base`` became the one stamped
+    ``version`` by the write set ``written``/``inserted``. The
+    ``superseded`` state is held until no live snapshot can reach it
+    (``None`` after); the ids stay until the log outgrows
+    :data:`DELTA_LOG_ROWS`. A view's maintainer-built contents have no
+    write set (``written is None``): a gap no reader can follow."""
 
-    __slots__ = ("seq", "written", "superseded")
+    __slots__ = ("seq", "base", "version", "written", "inserted", "superseded")
 
-    def __init__(
-        self,
-        seq: int,
-        written: Optional[frozenset[int]],
-        superseded: tuple[list["Row"], int, list[int]],
-    ):
+    def __init__(self, seq: int, change: "CommitChange"):
         self.seq = seq
-        self.written = written
-        self.superseded = superseded
+        self.base = change.previous[1]
+        self.version = change.version
+        self.written = change.written
+        self.inserted = change.inserted
+        self.superseded: Optional[tuple[list["Row"], int, list[int]]] = change.previous
+
+    @property
+    def size(self) -> int:
+        """How many row ids the entry holds."""
+        return 0 if self.written is None else len(self.written) + len(self.inserted)
 
 
 # ---------------------------------------------------------------------------
@@ -585,17 +598,6 @@ class Transaction:
             "retry the transaction)"
         )
 
-    def _concurrent_write_set(self, table: "HeapTable") -> set[int]:
-        """Row ids committed to *table* after this transaction's
-        snapshot, from the table's write history (every commit of a
-        table a transaction can write carries its write set)."""
-        others: set[int] = set()
-        for entry in reversed(table._history):
-            if entry.seq <= self.begin_seq:
-                break
-            others.update(entry.written)
-        return others
-
     def _merged_state(
         self, table: "HeapTable", working: _Working
     ) -> Optional[tuple[list["Row"], list[int], frozenset[int], list[int]]]:
@@ -651,7 +653,12 @@ class Transaction:
             for table, working in self._working.items():
                 if table._state[1] == self._snapshot[table][1]:
                     continue  # nothing intervened: plain install below
-                overlap = working.written & self._concurrent_write_set(table)
+                # The rows committed since our snapshot. A live snapshot's
+                # entries sit above the horizon, so a gap cannot happen.
+                chain = table._chain(self._snapshot[table][1], table._state[1])
+                if chain is None:
+                    raise self._abort(table, "its commit log has a gap")
+                overlap = working.written & set().union(*(e.written for e in chain))
                 if overlap:
                     raise self._abort(
                         table, f"write-write overlap on {len(overlap)} row(s)"
@@ -708,17 +715,12 @@ class Transaction:
                     raise
             for change in changes:
                 table = change.table
-                if change.written is not None:
-                    table._log_delta(
-                        change.previous[1],
-                        change.version,
-                        change.written,
-                        change.inserted,
-                    )
+                # Logged before the state installs, so an unlocked reader
+                # that sees the new state also finds the way to it.
+                entry = HistoryEntry(seq, change)
+                table._history.append(entry)
+                table._logged += entry.size
                 table._state = (change.rows, change.version, change.ids)
-                table._history.append(
-                    HistoryEntry(seq, change.written, change.previous)
-                )
             if finalize_matviews is not None:
                 finalize_matviews()
             manager.commit_count += 1
@@ -746,7 +748,7 @@ class TransactionManager:
     an import cycle between the storage and catalog layers.
     ``begin_count``/``commit_count``/``conflict_count`` are plain
     telemetry counters (the conflict check itself uses version stamps
-    and commit sequence numbers)."""
+    and the tables' commit logs)."""
 
     def __init__(self, tables: Callable[[], Iterable["HeapTable"]]):
         self.lock = threading.RLock()
@@ -810,35 +812,53 @@ class TransactionManager:
         live = [txn.begin_seq for txn in self._active if txn.active]
         return min(live) if live else current_commit_seq()
 
-    def collect(self) -> dict[str, int]:
-        """Free history entries (superseded committed states) no live
-        snapshot can see. Runs automatically whenever a transaction
-        retires; callable directly for tests and telemetry. Returns the
-        cumulative :meth:`gc_stats`."""
+    def collect(self) -> None:
+        """Trim every table's commit log, the only code that does: an
+        entry at or below the horizon drops its superseded state, then
+        the oldest entries that dropped theirs leave while the log holds
+        more than :data:`DELTA_LOG_ROWS` ids (a gap marker leaves at
+        once). Runs whenever a transaction retires; :meth:`gc_stats`
+        reports it."""
         with self.lock:
             horizon = self.horizon()
             freed = rows_freed = 0
             for table in self._tables():
-                history = table._history
-                cut = 0
-                while cut < len(history) and history[cut].seq <= horizon:
-                    rows_freed += len(history[cut].superseded[0])
+                log = table._history
+                # Walk back from the horizon over the entries still
+                # holding a state: the ones this run frees.
+                i = bisect_right(log, horizon, key=attrgetter("seq"))
+                while i and log[i - 1].superseded is not None:
+                    i -= 1
+                    rows_freed += len(log[i].superseded[0])
                     freed += 1
+                    log[i].superseded = None
+                logged, cut = table._logged, 0
+                for entry in log:
+                    if entry.superseded is not None or (
+                        logged <= DELTA_LOG_ROWS and entry.written is not None
+                    ):
+                        break
+                    logged -= entry.size
                     cut += 1
                 if cut:
-                    del history[:cut]
+                    # A new list: changes_since walks the old one unlocked.
+                    table._history, table._logged = log[cut:], logged
             self._gc_runs += 1
             self._gc_versions_freed += freed
             self._gc_rows_freed += rows_freed
             self._gc_horizon = horizon
-            return self.gc_stats()
 
     def gc_stats(self) -> dict[str, int]:
         """Version-GC counters: how often GC ran, how many superseded
-        committed states (and rows) it freed, how many are currently
-        retained for live snapshots, and the current horizon."""
+        committed states (and rows) it freed, how many log entries still
+        hold one for live snapshots, and the current horizon."""
+        held = attrgetter("superseded")
         with self.lock:
-            retained = sum(len(table._history) for table in self._tables())
+            # The entries holding a state are a suffix of each log (seqs
+            # ascend, the horizon never falls): count them from the end.
+            retained = sum(
+                sum(1 for _ in takewhile(held, reversed(t._history))) for t in self._tables()
+            )
             return {
                 "gc_runs": self._gc_runs,
                 "versions_freed": self._gc_versions_freed,

@@ -237,6 +237,7 @@ class PersistentStore:
         self.torn_bytes_truncated = 0
         self.recovery_seconds = 0.0
         self.checkpoint_count = 0
+        self.checkpoint_failures = 0
         self.last_checkpoint_seq = 0
 
     # ------------------------------------------------------------------
@@ -522,12 +523,18 @@ class PersistentStore:
     # Checkpointing
     # ------------------------------------------------------------------
     def _maybe_checkpoint(self) -> None:
-        """Post-commit threshold check (runs with no locks held)."""
+        """Post-commit threshold check (runs with no locks held). The
+        commit is durable already, so an ``OSError`` here only counts:
+        the log stays, and the next commit over the threshold retries."""
         wal = self._wal
         if wal is not None and self.checkpoint_bytes and (
             wal.size_bytes >= self.checkpoint_bytes
         ):
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except OSError:
+                with self._lock:
+                    self.checkpoint_failures += 1
 
     def checkpoint(self) -> None:
         """Restate the current committed state as ``snapshot.log`` and
@@ -569,8 +576,9 @@ class PersistentStore:
     # ------------------------------------------------------------------
     def wal_stats(self) -> dict:
         """Durability counters for operators (server STATS includes
-        them): log size and append/fsync activity, checkpoint history,
-        and what the last recovery replayed/truncated."""
+        them): log size and append/fsync activity, checkpoint history
+        (``checkpoint_failures``: automatic checkpoints that raised
+        ``OSError``), and what the last recovery replayed/truncated."""
         with self._lock:
             wal = self._wal
             return {
@@ -582,6 +590,7 @@ class PersistentStore:
                 "bytes_appended": wal.bytes_appended if wal is not None else 0,
                 "fsyncs": wal.fsync_count if wal is not None else 0,
                 "checkpoints": self.checkpoint_count,
+                "checkpoint_failures": self.checkpoint_failures,
                 "checkpoint_seq": self.last_checkpoint_seq,
                 "records_replayed": self.records_replayed,
                 "torn_bytes_truncated": self.torn_bytes_truncated,

@@ -34,19 +34,15 @@ transaction is a materialized view's recomputed contents
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..catalog.schema import Schema
 from ..datatypes import Value, cast_value, format_value, type_of_value, SQLType
 from ..errors import CatalogError, ProgrammingError
 from . import mvcc
+from .mvcc import DELTA_LOG_ROWS  # noqa: F401 - the log's bound, re-exported
 
 Row = tuple[Value, ...]
-
-#: Most row ids a table's delta log holds before it drops its oldest
-#: entries (see :meth:`HeapTable.changes_since`). A bound on rows, not
-#: on time: a consumer that falls further behind just reloads.
-DELTA_LOG_ROWS = 4096
 
 
 class HeapTable:
@@ -60,9 +56,11 @@ class HeapTable:
         # with an old stamp. The lists inside are never written once
         # installed.
         self._state: tuple[list[Row], int, list[int]] = ([], mvcc.next_stamp(), [])
-        # Committed-write history for row-level conflict checks; trimmed
-        # by the manager's version GC up to the live-snapshot horizon.
+        # The commit log (oldest first) and the row ids it holds. Commits
+        # append in place; only the manager's collect() trims it, by
+        # replacing the list, so an unlocked reader walks a stable one.
         self._history: list[mvcc.HistoryEntry] = []
+        self._logged = 0
         # Durability hook for non-transactional installs (set by
         # repro.storage.persist on persistent databases): called with
         # (table, seq, version, rows, ids) before the state swaps in.
@@ -74,16 +72,6 @@ class HeapTable:
         # the executor rebuilds on any mismatch (see
         # repro.executor.vectorized.VScan).
         self.columnar_cache: tuple[int, list] | None = None
-        # Delta log: one ``(base stamp, new stamp, written ids, appended
-        # ids)`` entry per committed row-level transition, oldest first.
-        # It holds ids only — row content is looked up in the state a
-        # reader asks about — so it never pins a superseded version.
-        # Writers append in place and *replace* the list to trim, so a
-        # reader that grabbed the list once iterates a stable object.
-        self._delta_log: list[
-            tuple[int, int, Collection[int], Sequence[int]]
-        ] = []
-        self._delta_logged = 0
 
     # -- visibility ----------------------------------------------------
     @property
@@ -128,9 +116,10 @@ class HeapTable:
 
     def _install_direct(self, rows: list[Row], ids: list[int]) -> None:
         """Install new lists as the committed state outside any
-        transaction — a materialized view's wholesale contents (CREATE
-        and REFRESH), a table no transaction writes. Not delta-logged:
-        a reader of :meth:`changes_since` reloads."""
+        transaction — a materialized view's wholesale contents (CREATE,
+        REFRESH and catch-up), a table no transaction writes. It adds no
+        commit-log entry, so no chain leads across it: a reader of
+        :meth:`changes_since` re-reads the table."""
         version = mvcc.next_stamp()
         if self.on_direct_install is not None:
             # Write-ahead: the record must be durable before the state
@@ -149,34 +138,28 @@ class HeapTable:
             )
         return txn
 
-    # -- delta log ------------------------------------------------------
-    def _log_delta(
-        self,
-        base: int,
-        version: int,
-        written: Collection[int],
-        appended: Sequence[int],
-    ) -> None:
-        """Record that state *base* became state *version* by updating or
-        deleting the rows *written* and appending the rows *appended*
-        (ids, ascending). Called by the commit just before the new state
-        installs; a transition nobody logs (a view's contents, recovery)
-        simply breaks the chain, which :meth:`changes_since` reports as
-        ``None``."""
-        size = len(written) + len(appended)
-        if size > DELTA_LOG_ROWS:
-            self._delta_log, self._delta_logged = [], 0
-            return
-        log = self._delta_log
-        log.append((base, version, written, appended))
-        logged = self._delta_logged + size
-        if logged > DELTA_LOG_ROWS:
-            cut = 0
-            while logged > DELTA_LOG_ROWS:
-                logged -= len(log[cut][2]) + len(log[cut][3])
-                cut += 1
-            self._delta_log = log[cut:]
-        self._delta_logged = logged
+    # -- commit log -----------------------------------------------------
+    def _chain(self, since: int, until: int) -> Optional[list["mvcc.HistoryEntry"]]:
+        """The commit-log entries leading from the state stamped *since*
+        to the one stamped *until*, newest first — ``None`` when a step
+        has no write set (a view's maintainer-built contents) or no entry
+        (a direct install, recovery, a trimmed start)."""
+        chain: list[mvcc.HistoryEntry] = []
+        if since == until:
+            return chain
+        want = until
+        for entry in reversed(self._history):
+            if entry.version != want:
+                if chain:
+                    return None  # gap: a transition with no entry
+                continue  # newer than *until*
+            if entry.written is None:
+                return None
+            chain.append(entry)
+            if entry.base == since:
+                return chain
+            want = entry.base
+        return None
 
     def changes_since(
         self, stamp: int
@@ -185,11 +168,10 @@ class HeapTable:
     ]:
         """The net row-level change from the state named *stamp* to the
         visible state: ``(deleted ids, upserted (id, row) pairs,
-        appended (id, row) pairs)`` — or ``None`` when the log cannot
-        say (the visible state is a transaction's own uncommitted work,
-        the chain between the two stamps was broken by an unlogged
-        transition, or its start has been trimmed). ``None`` means
-        "re-read the table", never an error.
+        appended (id, row) pairs)`` — or ``None`` when the commit log
+        cannot say (the visible state is a transaction's own uncommitted
+        work, or :meth:`_chain` finds no way between the two stamps).
+        ``None`` means "re-read the table", never an error.
 
         The chain's write sets are unioned and resolved against the
         visible state by :func:`repro.storage.mvcc.resolve_write_set`
@@ -199,28 +181,13 @@ class HeapTable:
         state = self._state if txn is None else txn.committed_view(self)
         if state is None:
             return None
-        rows, want, ids = state
-        written: set[int] = set()
-        parts: list[Sequence[int]] = []
-        if want != stamp:
-            # Walk the chain backwards from the transition that produced
-            # the visible state to the one that started at *stamp*.
-            for base, version, entry_written, entry_appended in reversed(
-                self._delta_log
-            ):
-                if version != want:
-                    if parts:
-                        return None  # gap: an unlogged transition
-                    continue  # newer than the visible state
-                written.update(entry_written)
-                parts.append(entry_appended)
-                if base == stamp:
-                    break
-                want = base
-            else:
-                return None
-        appended_ids = [rid for part in reversed(parts) for rid in part]
-        return mvcc.resolve_write_set(written, appended_ids, rows, ids)
+        rows, version, ids = state
+        chain = self._chain(stamp, version)
+        if chain is None:
+            return None
+        written = set().union(*(entry.written for entry in chain))
+        appended = [rid for entry in reversed(chain) for rid in entry.inserted]
+        return mvcc.resolve_write_set(written, appended, rows, ids)
 
     def _coerce_row(self, values: Sequence[Value]) -> Row:
         if len(values) != len(self.schema):

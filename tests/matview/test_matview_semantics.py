@@ -397,6 +397,26 @@ def test_a_delta_log_gap_recomputes(db):
     assert db.database.matview_stats()["recompute_reasons"] == {"delta log gap": 1}
 
 
+def test_an_open_snapshot_keeps_an_oversized_commit_followable(db):
+    # The log keeps every entry a live snapshot may need, whatever its
+    # size, so a third session catches the view up across the load.
+    from repro.storage.table import DELTA_LOG_ROWS
+
+    definition = "SELECT cat, count(*) AS n FROM item GROUP BY cat"
+    db.run(f"CREATE MATERIALIZED VIEW mv AS {definition}")
+    reader = repro.connect(database=db.database)
+    reader.execute("BEGIN")
+    reader.execute("SELECT id FROM item").fetchall()
+    db.load_rows("item", [(100 + i, "z", i) for i in range(DELTA_LOG_ROWS + 1)])
+    third = repro.connect(database=db.database)
+    _read_matches(third, "mv", definition)
+    stats = db.database.matview_stats()
+    assert (stats["catch_ups"], stats["recompute_reasons"]) == (1, {})
+    reader.rollback()
+    reader.close()
+    third.close()
+
+
 def test_a_redefined_view_underneath_recomputes_as_marked_stale(db):
     db.run("CREATE VIEW busy AS SELECT cat, qty FROM item WHERE qty > 1")
     db.run("CREATE MATERIALIZED VIEW mv AS SELECT cat, sum(qty) AS t FROM busy GROUP BY cat")

@@ -249,6 +249,41 @@ class TestPersistence:
         with Database(path=d) as db:
             assert len(db.connect().run("SELECT x FROM t").rows) == 12
 
+    def test_failed_automatic_checkpoint_leaves_the_commit_standing(
+        self, tmp_path, monkeypatch
+    ):
+        # The commit is durable before the threshold check runs, so a
+        # failing checkpoint must not report it as failed (a client
+        # retrying it would insert the row twice).
+        import errno
+
+        from repro.storage import persist
+
+        def no_space(path, chunks):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        d = str(tmp_path / "db")
+        with Database(path=d, checkpoint_bytes=1) as db:
+            conn = db.connect()
+            conn.run("CREATE TABLE t (x int)")
+            with monkeypatch.context() as patch:
+                patch.setattr(persist, "_write_atomically", no_space)
+                conn.run("INSERT INTO t VALUES (1)")
+                stats = db.wal_stats()
+                assert (stats["checkpoint_failures"], stats["checkpoints"]) == (1, 0)
+                assert stats["wal_bytes"] > 0
+                # An explicit checkpoint still reports its failure.
+                with pytest.raises(OSError):
+                    conn.run("CHECKPOINT")
+                with pytest.raises(OSError):
+                    db.checkpoint()
+                assert db.wal_stats()["checkpoint_failures"] == 1
+            conn.run("INSERT INTO t VALUES (2)")
+            stats = db.wal_stats()
+            assert (stats["checkpoints"], stats["wal_bytes"]) == (1, 0)
+        with Database(path=d) as db:
+            assert db.connect().run("SELECT x FROM t ORDER BY x").rows == [(1,), (2,)]
+
     def test_checkpoint_is_noop_in_memory(self):
         db = Database()
         conn = db.connect()

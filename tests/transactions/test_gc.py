@@ -65,9 +65,9 @@ class TestFreeing:
         assert stats["rows_freed"] > 0
 
     def test_superseded_row_lists_are_actually_reclaimed(self):
-        # The history entry is the only thing keeping a superseded
-        # committed row list alive: once GC trims it, the list is
-        # garbage. Verified with a weakref-style canary via gc.
+        # The log entry is the only thing keeping a superseded committed
+        # row list alive: once GC drops its state, the list is garbage.
+        # Verified with a weakref-style canary via gc.
         import weakref
 
         class Canary:
@@ -80,17 +80,30 @@ class TestFreeing:
         reader.execute("SELECT a FROM t").fetchall()
 
         setup.execute("UPDATE t SET b = -1 WHERE a = 0")
-        assert table._history, "superseded state must be retained"
-        superseded_rows = table._history[0].superseded[0]
+        held = [entry for entry in table._history if entry.superseded is not None]
+        assert held, "superseded state must be retained"
+        superseded_rows = held[0].superseded[0]
         canary = Canary()
         superseded_rows.append(canary)  # piggyback on the dead list
         ref = weakref.ref(canary)
-        del superseded_rows, canary
+        del held, superseded_rows, canary
 
         reader.commit()
-        assert not table._history
+        assert all(entry.superseded is None for entry in table._history)
         pygc.collect()
         assert ref() is None, "superseded committed state leaked"
+
+    def test_the_log_keeps_only_its_bound_with_no_snapshot_open(self):
+        from repro.storage.table import DELTA_LOG_ROWS
+
+        db, setup = _bank()
+        table = setup.catalog.table("t").table
+        for i in range(5000):
+            setup.execute("INSERT INTO t VALUES (?, 0)", (100 + i,))
+        logged = sum(entry.size for entry in table._history)
+        assert logged <= DELTA_LOG_ROWS
+        assert table._logged == logged
+        assert db.manager.gc_stats()["versions_retained"] == 0
 
     def test_gc_runs_counter_increments(self):
         db, setup = _bank()

@@ -196,6 +196,21 @@ class TestConflicts:
         second.commit()
         assert observer.execute("SELECT a, b FROM t").fetchall() == [(4, "new")]
 
+    def test_an_oversized_commit_still_conflicts(self):
+        # The commit log keeps an entry past its row bound while a
+        # snapshot that predates it is live.
+        from repro.storage.table import DELTA_LOG_ROWS
+
+        db, setup = _shared_db()
+        setup.load_rows("t", [(10 + i, "p") for i in range(DELTA_LOG_ROWS)])
+        late = connect(database=db)
+        late.execute("BEGIN")
+        late.execute("UPDATE t SET b = 'late' WHERE a = 2")
+        setup.execute("UPDATE t SET b = 'all'")
+        setup.execute("UPDATE t SET b = 'one' WHERE a = 3")
+        with pytest.raises(SerializationError, match="write-write overlap on 1 row"):
+            late.commit()
+
     def test_read_only_transactions_never_conflict(self):
         db, _ = _shared_db()
         reader = connect(database=db)
