@@ -1,12 +1,14 @@
-"""Scaling behaviour of provenance computation.
+"""Query latency vs data size against a durable database.
 
-Sweeps the TPC-H-like database across scale factors and measures how the
-provenance overhead factor evolves per query class. The reproduced
-shape: the overhead factor stays roughly flat with data size for SPJ and
-aggregation (the rewrite adds joins whose cost grows with the same
-asymptotics as the original query) — i.e. provenance computation *scales
-with the query*, the core feasibility claim behind running Perm on a
-real DBMS.
+One on-disk ``Database(path=...)`` is grown to ``$BENCH_SCALING_ROWS``
+rows (default 200k; CI sets 10M) in 100k-row durable commits, and at
+each of three points (1 %, 10 % and 100 % of the total) the row,
+vectorized and sqlite engines run three analytic queries with a warm
+plan cache. The tuple-at-a-time row engine stops at 1M rows. Every
+engine must agree on the final answer; the timings go to
+``BENCH_scaling.json``. Run with::
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_scaling.py -s
 """
 
 from __future__ import annotations
@@ -15,114 +17,13 @@ import json
 import os
 import time
 
-import pytest
-from conftest import print_table
-
 from repro.engine.database import Database
-from repro.workloads.queries import with_provenance
-from repro.workloads.tpch import TpchConfig, create_tpch_db
 
-SCALES = [0.25, 0.5, 1.0]
-
-SWEEP_QUERIES = {
-    "SPJ": "SELECT c_name, o_orderkey FROM customer JOIN orders ON c_custkey = o_custkey "
-           "WHERE o_totalprice > 200000",
-    "AGG": "SELECT o_custkey, count(*) AS n FROM orders GROUP BY o_custkey",
-    "SET": "SELECT c_custkey FROM customer WHERE c_acctbal > 5000 "
-           "UNION SELECT o_custkey FROM orders WHERE o_totalprice > 300000",
-}
-
-
-@pytest.mark.parametrize("scale", SCALES, ids=[f"scale={s}" for s in SCALES])
-def test_spj_provenance_scaling(benchmark, scale):
-    db = create_tpch_db(TpchConfig().scale(scale))
-    sql = with_provenance(SWEEP_QUERIES["SPJ"])
-    result = benchmark(db.run, sql)
-    assert len(result) > 0
-
-
-def test_overhead_factor_stays_bounded():
-    """The provenance/original factor must not blow up with data size."""
-    rows = []
-    factors: dict[str, list[float]] = {name: [] for name in SWEEP_QUERIES}
-    for scale in SCALES:
-        db = create_tpch_db(TpchConfig().scale(scale))
-        for name, sql in SWEEP_QUERIES.items():
-            start = time.perf_counter()
-            for _ in range(3):
-                db.run(sql)
-            plain = (time.perf_counter() - start) / 3
-            start = time.perf_counter()
-            for _ in range(3):
-                db.run(with_provenance(sql))
-            prov = (time.perf_counter() - start) / 3
-            factor = prov / plain if plain > 0 else float("inf")
-            factors[name].append(factor)
-            rows.append((f"{scale:.2f}", name, f"{plain * 1000:.2f}", f"{prov * 1000:.2f}", f"{factor:.2f}x"))
-    print_table(
-        "Provenance overhead vs scale",
-        ["scale", "class", "original ms", "provenance ms", "factor"],
-        rows,
-    )
-    for name, series in factors.items():
-        # Flat-ish: the largest scale's factor stays within a small
-        # multiple of the smallest scale's (generous bound for noise).
-        assert series[-1] < max(series[0] * 4, 12.0), (name, series)
-
-
-def test_engine_speedup_vs_scale():
-    """Row vs vectorized across data scales, provenance on and off.
-
-    The vectorized engine's advantage should hold (or grow) with data
-    size: batch execution amortizes per-tuple overhead, so more tuples
-    mean more amortization — never a regression back under the row
-    engine on these scan-heavy shapes.
-    """
-    rows = []
-    for scale in SCALES:
-        databases = {
-            engine: create_tpch_db(TpchConfig().scale(scale), engine=engine)
-            for engine in ("row", "vectorized")
-        }
-        for name, sql in SWEEP_QUERIES.items():
-            for provenance in (False, True):
-                query = with_provenance(sql) if provenance else sql
-                timings = {}
-                for engine, db in databases.items():
-                    db.run(query)  # warm the plan cache
-                    start = time.perf_counter()
-                    for _ in range(3):
-                        db.run(query)
-                    timings[engine] = (time.perf_counter() - start) / 3
-                rows.append(
-                    (
-                        f"{scale:.2f}",
-                        name,
-                        "on" if provenance else "off",
-                        f"{timings['row'] * 1000:.2f}",
-                        f"{timings['vectorized'] * 1000:.2f}",
-                        f"{timings['row'] / timings['vectorized']:.2f}x",
-                    )
-                )
-    print_table(
-        "Row vs vectorized engine vs scale",
-        ["scale", "class", "prov", "row ms", "vectorized ms", "speedup"],
-        rows,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Durable-database sweep: all three engines against Database(path=...)
-# ---------------------------------------------------------------------------
-
-# Local/test runs stay small; CI sets BENCH_SCALING_ROWS=10000000 for
-# the full 10M-row sweep. The row engine is tuple-at-a-time Python and
-# is capped (default 1M rows) so the sweep finishes; vectorized and
-# sqlite run every point.
 SCALING_ROWS = int(os.environ.get("BENCH_SCALING_ROWS", "200000"))
-ROW_ENGINE_CAP = int(os.environ.get("BENCH_SCALING_ROW_CAP", "1000000"))
-SCALING_DURABILITY = os.environ.get("BENCH_SCALING_DURABILITY", "os")
+ROW_ENGINE_CAP = 1_000_000
+DURABILITY = "os"
 LOAD_CHUNK = 100_000
+ARTIFACT = "BENCH_scaling.json"
 
 SCALING_QUERIES = {
     "scan_filter_agg": "SELECT count(*) AS n, sum(val) AS s FROM metrics WHERE grp < 100",
@@ -132,18 +33,14 @@ SCALING_QUERIES = {
 }
 
 
-def _scaling_artifact_path() -> str:
-    return os.environ.get("BENCH_SCALING_JSON", "BENCH_scaling.json")
-
-
 def _scaling_points(total: int) -> list[int]:
     return sorted({max(10_000, total // 100), max(10_000, total // 10), total})
 
 
 def _load_metrics_rows(conn, start: int, stop: int) -> float:
     """Append rows [start, stop) to metrics in bounded-memory chunks;
-    returns wall seconds. Every executemany batch is one durable
-    commit, so the sweep exercises the WAL at bulk-load granularity."""
+    returns wall seconds. Every chunk is one durable commit, so the
+    sweep exercises the WAL at bulk-load granularity."""
     began = time.perf_counter()
     for lo in range(start, stop, LOAD_CHUNK):
         hi = min(lo + LOAD_CHUNK, stop)
@@ -154,20 +51,16 @@ def _load_metrics_rows(conn, start: int, stop: int) -> float:
     return time.perf_counter() - began
 
 
-def test_durable_scaling_sweep(tmp_path):
-    """Query latency vs data size against a *durable* database.
+def _timed(conn, sql: str) -> float:
+    start = time.perf_counter()
+    conn.run(sql)
+    return time.perf_counter() - start
 
-    One on-disk Database(path=...) is grown through the sweep points;
-    at each point every engine runs the workload queries with a warm
-    plan cache. Results append to BENCH_scaling.json so CI can archive
-    the scaling trajectory across PRs.
-    """
+
+def test_durable_scaling_sweep(tmp_path):
     points = _scaling_points(SCALING_ROWS)
     measurements: list[dict] = []
-    table_rows: list[tuple] = []
-    with Database(
-        path=str(tmp_path / "scaling"), durability=SCALING_DURABILITY
-    ) as db:
+    with Database(path=str(tmp_path / "scaling"), durability=DURABILITY) as db:
         connections = {
             engine: db.connect(engine=engine)
             for engine in ("row", "vectorized", "sqlite")
@@ -184,9 +77,7 @@ def test_durable_scaling_sweep(tmp_path):
                     if engine == "row" and point > ROW_ENGINE_CAP:
                         continue
                     conn.run(sql)  # warm the plan cache / sqlite mirror
-                    best = min(
-                        _timed(conn, sql) for _ in range(iterations)
-                    )
+                    best = min(_timed(conn, sql) for _ in range(iterations))
                     measurements.append(
                         {
                             "rows": point,
@@ -196,43 +87,29 @@ def test_durable_scaling_sweep(tmp_path):
                             "load_s": round(load_seconds, 3),
                         }
                     )
-                    table_rows.append(
-                        (f"{point:,}", name, engine, f"{best * 1000:.2f}")
-                    )
         wal = db.wal_stats()
-    print_table(
-        f"Durable scaling sweep ({SCALING_DURABILITY} durability)",
-        ["rows", "query", "engine", "best ms"],
-        table_rows,
-    )
-    payload = {}
-    path = _scaling_artifact_path()
-    if os.path.exists(path):
-        with open(path) as handle:
-            payload = json.load(handle)
-    payload["durable_sweep"] = {
-        "rows": SCALING_ROWS,
-        "durability": SCALING_DURABILITY,
-        "row_engine_cap": ROW_ENGINE_CAP,
-        "wal_bytes": wal["wal_bytes"],
-        "measurements": measurements,
+        # The sweep really ran against the durable store, and every
+        # engine agrees at the final point on the aggregate query.
+        assert wal["wal_bytes"] > 0
+        answers = {
+            engine: tuple(conn.run(SCALING_QUERIES["scan_filter_agg"]).rows)
+            for engine, conn in connections.items()
+            if not (engine == "row" and loaded > ROW_ENGINE_CAP)
+        }
+        assert len(set(answers.values())) == 1, answers
+
+    print(f"\n== Durable scaling sweep ({DURABILITY} durability) ==")
+    for m in measurements:
+        print(f"{m['rows']:>12,}  {m['query']:<16} {m['engine']:<10} {m['ms']:>10.2f} ms")
+    payload = {
+        "durable_sweep": {
+            "rows": SCALING_ROWS,
+            "durability": DURABILITY,
+            "row_engine_cap": ROW_ENGINE_CAP,
+            "wal_bytes": wal["wal_bytes"],
+            "measurements": measurements,
+        }
     }
-    with open(path, "w") as handle:
+    with open(ARTIFACT, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
-    print(f"\nwrote {path}")
-
-    # Sanity: the sweep really ran against the durable store and every
-    # engine agreed at the final point on the aggregate query.
-    assert wal["wal_bytes"] > 0
-    answers = {
-        engine: tuple(conn.run(SCALING_QUERIES["scan_filter_agg"]).rows)
-        for engine, conn in connections.items()
-        if not (engine == "row" and loaded > ROW_ENGINE_CAP)
-    }
-    assert len(set(answers.values())) == 1, answers
-
-
-def _timed(conn, sql: str) -> float:
-    start = time.perf_counter()
-    conn.run(sql)
-    return time.perf_counter() - start
+    print(f"wrote {ARTIFACT}")

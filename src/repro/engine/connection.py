@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..algebra import nodes as an
 from ..analyzer import Analyzer
@@ -402,11 +402,8 @@ class Connection:
                 if isinstance(statement, ast.QueryStatement):
                     self._prepared_for(statement)
                     return None, 0
-                if isinstance(statement, ast.Insert) and statement.rows is not None:
-                    self._prepare_insert(statement)
-                elif isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
-                    verb = type(statement).__name__.upper()
-                    self._dml_table(statement.table, verb)
+                if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
+                    self._prepare_dml(statement)
                 verb = type(statement).__name__.upper()
                 return _status(f"{verb} 0"), 0
             if isinstance(statement, ast.Insert) and statement.rows is not None:
@@ -711,12 +708,9 @@ class Connection:
         where there is none (DDL: DB-API's 'undetermined')."""
         # QueryStatement and Explain never reach here: _run_statement
         # dispatches them to the cached-plan / explain paths first.
-        if isinstance(statement, ast.Insert):
-            return self._execute_insert(statement)
-        if isinstance(statement, ast.Delete):
-            return self._execute_delete(statement)
-        if isinstance(statement, ast.Update):
-            return self._execute_update(statement)
+        if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
+            count = self._prepare_dml(statement)()
+            return _status(f"{type(statement).__name__.upper()} {count}"), count
         if isinstance(statement, ast.CreateTable):
             return self._execute_create_table(statement), -1
         if isinstance(statement, ast.CreateTableAs):
@@ -731,9 +725,9 @@ class Connection:
             return self._execute_drop(statement), -1
         raise PermError(f"unsupported statement {type(statement).__name__}")
 
-    def _execute_query(self, query: ast.QueryExpr) -> Relation:
-        """Run an embedded query (CTAS source, INSERT ... SELECT) through
-        the cached pipeline.
+    def _execute_query(self, prepared: PreparedPlan) -> Relation:
+        """Run an embedded query's plan (CTAS source, INSERT ... SELECT),
+        fetched through :meth:`_prepared_for`.
 
         Does NOT rebind the parameter context (so it cannot go through
         :meth:`PreparedPlan.execute`, which starts a fresh binding
@@ -743,7 +737,6 @@ class Connection:
         statistics-derived facts are still revalidated here, exactly as
         ``PreparedPlan.execute`` would.
         """
-        prepared = self._prepared_for(ast.QueryStatement(query))
         if not prepared.deps_valid():
             prepared.refresh()
         self.pipeline.counters.execute += 1
@@ -760,7 +753,9 @@ class Connection:
     def _execute_create_table_as(self, statement: ast.CreateTableAs) -> Relation:
         if statement.if_not_exists and self.catalog.has_relation(statement.name):
             return _status("CREATE TABLE (exists, skipped)")
-        result = self._execute_query(statement.query)
+        result = self._execute_query(
+            self._prepared_for(ast.QueryStatement(statement.query))
+        )
         self.create_table_from_relation(statement.name, result)
         return _status(f"CREATE TABLE ({len(result)} rows)")
 
@@ -985,15 +980,21 @@ class Connection:
             )
         return self.catalog.table(name)
 
-    def _execute_insert(self, statement: ast.Insert) -> tuple[Relation, int]:
-        count = self._prepare_insert(statement)()
-        return _status(f"INSERT {count}"), count
+    def _prepare_dml(
+        self, statement: Union[ast.Insert, ast.Delete, ast.Update]
+    ) -> Callable[[], int]:
+        """Resolve and compile a DML statement once; the returned runner
+        applies it against the currently bound parameters and returns
+        the affected-row count. Preparing alone validates the statement
+        (``executemany`` with no parameter sets) and lets a batch pay
+        analysis once per statement instead of once per parameter set."""
+        if isinstance(statement, ast.Insert):
+            return self._prepare_insert(statement)
+        if isinstance(statement, ast.Delete):
+            return self._prepare_delete(statement)
+        return self._prepare_update(statement)
 
     def _prepare_insert(self, statement: ast.Insert) -> Callable[[], int]:
-        """Resolve and compile an INSERT once; the returned runner
-        evaluates it against the currently bound parameters. This is what
-        lets ``executemany`` pay analysis/compilation once per statement
-        instead of once per parameter set."""
         entry = self._dml_table(statement.table, "INSERT into")
         schema = entry.schema
         if statement.columns is not None:
@@ -1039,9 +1040,10 @@ class Connection:
             return run_values
 
         assert statement.query is not None
+        prepared = self._prepared_for(ast.QueryStatement(statement.query))
 
         def run_query() -> int:
-            result = self._execute_query(statement.query)
+            result = self._execute_query(prepared)
             staged = [widen(row) for row in result.rows]
             return entry.table.insert_many(staged)
 
@@ -1068,12 +1070,12 @@ class Connection:
 
         return compile_plan
 
-    def _execute_delete(self, statement: ast.Delete) -> tuple[Relation, int]:
+    def _prepare_delete(self, statement: ast.Delete) -> Callable[[], int]:
         entry = self._dml_table(statement.table, "DELETE from")
-        removed = entry.table.delete_where(self._predicate(entry, statement.where))
-        return _status(f"DELETE {removed}"), removed
+        predicate = self._predicate(entry, statement.where)
+        return lambda: entry.table.delete_where(predicate)
 
-    def _execute_update(self, statement: ast.Update) -> tuple[Relation, int]:
+    def _prepare_update(self, statement: ast.Update) -> Callable[[], int]:
         entry = self._dml_table(statement.table, "UPDATE")
         analyzer = self._analyzer()
         compiler = ExprCompiler(
@@ -1093,8 +1095,8 @@ class Connection:
                 new_row[position] = compiled(row, ())
             return new_row
 
-        changed = entry.table.update_where(self._predicate(entry, statement.where), updater)
-        return _status(f"UPDATE {changed}"), changed
+        predicate = self._predicate(entry, statement.where)
+        return lambda: entry.table.update_where(predicate, updater)
 
     def _execute_explain(self, statement: ast.Explain) -> Relation:
         if not isinstance(statement.statement, ast.QueryStatement):

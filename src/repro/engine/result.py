@@ -50,7 +50,7 @@ class ExecutionProfile:
         return sum(entry.seconds for entry in self.timings)
 
     def summary(self) -> str:
-        """Aligned per-stage timing table (used by the Figure 3 bench)."""
+        """Aligned per-stage timing table (the CLI's ``\\timing``)."""
         width = max(len(t.name) for t in self.timings)
         lines = [
             f"{t.name.ljust(width)}  {t.seconds * 1000:10.3f} ms" for t in self.timings

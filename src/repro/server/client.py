@@ -1,11 +1,12 @@
 """A small blocking client for the wire protocol.
 
-Used by the integration tests, ``bench_server.py`` and as the reference
-implementation of the protocol from the consumer side. One socket, one
-session; requests are synchronous (send a frame, read the response
-frame). Server-reported errors re-raise as the PEP 249 exception class
-the embedded API would have raised (:class:`~repro.errors.ServerBusy`
-and :class:`~repro.errors.SerializationError` are the retryable ones).
+Used by the integration tests, the ``served_mixed`` workload of
+``benchmarks/e2e`` and as the reference implementation of the protocol
+from the consumer side. One socket, one session; requests are
+synchronous (send a frame, read the response frame). Server-reported
+errors re-raise as the PEP 249 exception class the embedded API would
+have raised (:class:`~repro.errors.ServerBusy` and
+:class:`~repro.errors.SerializationError` are the retryable ones).
 """
 
 from __future__ import annotations

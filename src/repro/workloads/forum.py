@@ -2,9 +2,9 @@
 
 An online forum with users, messages, messages imported from other
 forums, and approvals. The tables, rows and the queries q1–q3 are
-exactly those of Figure 1; the expected provenance of q1 (Figure 2) is
-reproduced in ``benchmarks/bench_figure2_q1_provenance.py`` and asserted
-in ``tests/core/test_paper_figures.py``.
+exactly those of Figure 1; the provenance of q1 (Figure 2) and the
+§2.4 listings are reproduced byte for byte by
+``tests/core/test_paper_figures.py``.
 """
 
 from __future__ import annotations

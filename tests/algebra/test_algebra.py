@@ -133,6 +133,7 @@ class TestRendering:
         node = analyzed(db, "SELECT b, count(*) FROM t GROUP BY b")
         text = render_tree(node)
         assert "α[" in text and "Scan(t)" in text and "Π[" in text
+        assert "∪" in render_tree(analyzed(db, "SELECT a FROM t UNION SELECT x FROM s"))
 
     def test_render_includes_sublinks(self, db):
         node = analyzed(db, "SELECT a FROM t WHERE a IN (SELECT x FROM s)")
@@ -176,11 +177,14 @@ class TestAlgebraToSql:
         assert sorted(direct.rows, key=repr) == sorted(via_deparse.rows, key=repr)
 
     def test_rewritten_provenance_sql_roundtrips(self, db):
-        sql = "SELECT PROVENANCE a, b FROM t WHERE a > 1"
-        profile = db.profile(sql)
-        regenerated = algebra_to_sql(profile.rewritten)
-        again = db.run(regenerated)
-        assert sorted(profile.result.rows, key=repr) == sorted(again.rows, key=repr)
+        for sql in (
+            "SELECT PROVENANCE a, b FROM t WHERE a > 1",
+            "SELECT PROVENANCE a FROM t UNION SELECT x FROM s",
+        ):
+            profile = db.profile(sql)
+            regenerated = algebra_to_sql(profile.rewritten)
+            again = db.run(regenerated)
+            assert sorted(profile.result.rows, key=repr) == sorted(again.rows, key=repr)
 
     def test_expr_to_sql_forms(self):
         assert expr_to_sql(ax.Const.of(None)) == "NULL"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import sqlite3
 import sys
 import threading
 import time
@@ -31,7 +32,7 @@ import time
 import pytest
 
 import repro
-from repro import OperationalError, SerializationError
+from repro import ExecutionError, OperationalError, SerializationError
 from repro.backend.runtime import IntegerRangeEscape, adapt_row
 from repro.engine.database import Database
 from repro.engine.matview import _TableDelta
@@ -523,6 +524,40 @@ def test_unmirrorable_table_is_loaded_once_per_version(pair):
         "unmirrorable": 2,
         "no delta": 1,
     }
+    row_conn.close()
+
+
+def test_a_mirror_failing_mid_delta_recovers_on_the_next_read(pair, monkeypatch):
+    """A backend error part-way through a delta (the DELETE applied, the
+    UPDATE refused) fails the read; once the fault is gone the next read
+    answers what the row engine does, from a mirror equal to the heap."""
+    writer, reader, backend = pair
+    row_conn = repro.connect(database=reader.database, engine="row")
+    writer.execute("DELETE FROM t WHERE id = 4")
+    writer.execute("UPDATE t SET val = 0 WHERE id = 3")
+
+    class RefusesUpdates:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def executemany(self, sql, rows):
+            if sql.startswith("UPDATE"):
+                raise sqlite3.OperationalError("disk I/O error")
+            return self.inner.executemany(sql, rows)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    query = "SELECT * FROM t WHERE grp = 3"
+    monkeypatch.setattr(backend, "connection", RefusesUpdates(backend.connection))
+    with pytest.raises(ExecutionError, match="disk I/O error"):
+        reader.execute(query).fetchall()
+    monkeypatch.undo()
+    assert reader.execute(query).fetchall() == row_conn.execute(query).fetchall()
+    assert_mirrors_equal_heap([reader])
+    heap = reader.catalog.scan_entry("t").table
+    rowids = backend.connection.execute('SELECT rowid FROM main."t" ORDER BY rowid')
+    assert [rid for (rid,) in rowids] == heap.row_ids
     row_conn.close()
 
 

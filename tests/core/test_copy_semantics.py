@@ -112,6 +112,13 @@ class TestCopyVsInfluence:
         # Influence keeps full witnesses; copy masks non-copied attrs.
         assert all(row[2] is not None for row in influence.rows)
         assert all(row[2] is None for row in copy.rows)
+        # COPY COMPLETE keeps whole copied-from tuples: between the two.
+        complete = db.run("SELECT PROVENANCE ON CONTRIBUTION (COPY COMPLETE) a FROM r")
+
+        def filled(result):
+            return sum(v is not None for row in result.rows for v in row[1:])
+
+        assert filled(influence) >= filled(complete) > filled(copy)
 
     def test_original_rows_identical(self, db):
         sqls = [

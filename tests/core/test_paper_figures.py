@@ -65,6 +65,12 @@ class TestFigure1:
         assert result.columns == ["count", "text"]
         # mId 1 has no approval and is omitted; mId 2 has one; mId 4 three.
         assert sorted_rows(result) == [(1, "hello ..."), (3, "hi there ...")]
+        # The demo audience's NOT IN finds the two unapproved messages.
+        unapproved = forum_db.run(
+            "SELECT PROVENANCE mId, text FROM v1 "
+            "WHERE mId NOT IN (SELECT mId FROM approved)"
+        )
+        assert sorted(row[0] for row in unapproved.rows) == [1, 3]
 
 
 class TestFigure2:
@@ -177,6 +183,9 @@ class TestSection24Listings:
             ("hi there ...", 4, "hi there ..."),
             ("lorem ipsum ...", 1, "lorem ipsum ..."),
         ]
+        # Unfolding v1 instead carries its base relations' witnesses.
+        full = forum_db.run("SELECT PROVENANCE text FROM v1")
+        assert len(full.provenance_attrs) == 6
 
     def test_listing3_baserelation_rows(self, forum_db):
         result = forum_db.run(SQLPLE_BASERELATION)

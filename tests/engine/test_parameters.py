@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    AnalyzeError,
     CatalogError,
     ExecutionError,
     ParseError,
@@ -290,6 +291,17 @@ class TestDMLParameters:
             conn.executemany("INSERT INTO ghost VALUES (?)", [])
         with pytest.raises(ProgrammingError, match="single statement"):
             conn.executemany("SELECT 1; SELECT 2", [])
+        # Every DML form is prepared, so an empty batch raises what a
+        # one-set batch raises.
+        for sql, one_set, error in (
+            ("UPDATE r SET nope = ? WHERE a = ?", ("v", 1), CatalogError),
+            ("DELETE FROM r WHERE nope = ?", (1,), AnalyzeError),
+            ("INSERT INTO r SELECT nope, a FROM r WHERE a = ?", (1,), AnalyzeError),
+        ):
+            with pytest.raises(error):
+                conn.executemany(sql, [one_set])
+            with pytest.raises(error):
+                conn.executemany(sql, [])
 
     def test_executemany_empty_update_and_delete(self, conn):
         assert conn.executemany("UPDATE r SET b = ? WHERE a = ?", []).rowcount == 0

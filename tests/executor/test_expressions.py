@@ -7,6 +7,17 @@ from __future__ import annotations
 import pytest
 
 from repro import ExecutionError, connect
+from repro.datatypes import SQLType
+from repro.executor.columns import (
+    HAVE_NUMPY,
+    INT64_MAX,
+    TypedColumn,
+    build_typed_column,
+    column_values,
+    vec_and,
+    vec_arith,
+    vec_cmp_const,
+)
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +167,23 @@ class TestArithmeticThroughSql:
         assert val(db, "2 + 3 * 4") == 14
         assert val(db, "(2 + 3) * 4") == 20
         assert val(db, "-2 * 3") == -6
+
+
+class TestTypedKernels:
+    """The packed kernels behind the vectorized engine engage exactly
+    when numpy is importable, and a result escaping int64 spills to
+    exact Python ints."""
+
+    def test_kernels_engage_with_numpy_and_spill_exactly(self):
+        ints = [i - 5 for i in range(10)]
+        column = build_typed_column(ints, SQLType.INT)
+        if not HAVE_NUMPY:
+            assert column is None  # every vectorized column stays a list
+            return
+        doubled = vec_arith("+", column, column, len(ints))
+        inside = vec_and(vec_cmp_const(column, "<", 3), vec_cmp_const(column, ">", -3))
+        assert isinstance(doubled, TypedColumn) and isinstance(inside, TypedColumn)
+        assert column_values(doubled) == [2 * v for v in ints]
+        assert column_values(inside) == [-3 < v < 3 for v in ints]
+        spilled = vec_arith("+", column, INT64_MAX, len(ints))
+        assert spilled == [v + INT64_MAX for v in ints]

@@ -245,6 +245,9 @@ class TestColumnPruning:
         _tables(conn, rows=200)
         conn.profile("SELECT PROVENANCE " + CHAIN_SQL[len("SELECT "):], execute=False)
         assert conn.counters.columns_pruned > 0
+        # The original query and the rewritten join-back input are both
+        # join regions the cost model re-shapes.
+        assert conn.counters.joins_reordered >= 2
 
     def test_pruning_under_outer_join(self):
         # The unused columns of the null-padded side of a LEFT JOIN are

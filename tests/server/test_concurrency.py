@@ -62,6 +62,70 @@ class TestAdmissionControl:
             slow.close()
             fast.close()
 
+    def test_more_sessions_than_workers_queue_and_all_get_answered(self):
+        """Sixteen sessions send at once to a two-worker pool. With the
+        pending bound above the burst, admission control queues every
+        request: none is rejected and every session gets its answers."""
+        sessions, ops = 16, 6
+        server = PermServer(
+            database=Database(), max_workers=2, max_pending=sessions * 2
+        )
+        failures: list[BaseException] = []
+        with ServerThread(server):
+            with connect(server) as setup:
+                setup.query("CREATE TABLE accounts (id int, balance int)")
+                setup.query(
+                    "INSERT INTO accounts VALUES "
+                    + ", ".join(f"({i}, 100)" for i in range(sessions))
+                )
+            ready = threading.Barrier(sessions, timeout=30)
+
+            def worker(seed: int) -> None:
+                rng = random.Random(seed)
+                try:
+                    with connect(server) as c:
+                        ready.wait()  # every session live before anyone sends
+                        for _ in range(ops):
+                            if rng.random() < 0.3:
+                                src, dst = rng.sample(range(sessions), 2)
+                                c.query(
+                                    "UPDATE accounts SET balance = balance - 1 "
+                                    "WHERE id = ?",
+                                    [src],
+                                )
+                                c.query(
+                                    "UPDATE accounts SET balance = balance + 1 "
+                                    "WHERE id = ?",
+                                    [dst],
+                                )
+                            else:
+                                account = rng.randrange(sessions)
+                                rows = c.query(
+                                    "SELECT id FROM accounts WHERE id = ?", [account]
+                                ).rows
+                                assert rows == [(account,)]
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    failures.append(exc)
+
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(sessions)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures, failures[:3]
+            with connect(server) as check:
+                total = check.query("SELECT SUM(balance) FROM accounts").rows
+                snap = check.stats()["server"]
+        assert total == [(sessions * 100,)]
+        assert snap["sessions_total"] >= sessions + 1
+        assert (snap["sessions_rejected"], snap["busy_rejections"]) == (0, 0)
+        assert snap["latency"]["p50_ms"] is not None
+        assert snap["latency"]["p99_ms"] is not None
+
 
 class TestDisconnect:
     def test_abrupt_disconnect_rolls_back_open_transaction(self, server):

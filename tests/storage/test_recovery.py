@@ -284,6 +284,33 @@ class TestPersistence:
         with Database(path=d) as db:
             assert db.connect().run("SELECT x FROM t ORDER BY x").rows == [(1,), (2,)]
 
+    @pytest.mark.parametrize("durability", wal_mod.DURABILITY_MODES)
+    def test_fsyncs_follow_the_durability_mode(self, tmp_path, monkeypatch, durability):
+        # "fsync" reaches the disk at least once per commit; "os" and
+        # "off" never fsync on the commit path. Both the real calls and
+        # the reported count are checked.
+        commits = 20
+        calls = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        with Database(path=str(tmp_path / "db"), durability=durability) as db:
+            conn = db.connect()
+            conn.run("CREATE TABLE t (x int)")
+            before, reported = len(calls), db.wal_stats()["fsyncs"]
+            for i in range(commits):
+                conn.run(f"INSERT INTO t VALUES ({i})")
+            fsynced = len(calls) - before
+            reported = db.wal_stats()["fsyncs"] - reported
+        if durability == "fsync":
+            assert fsynced >= commits and reported >= commits
+        else:
+            assert (fsynced, reported) == (0, 0)
+
     def test_checkpoint_is_noop_in_memory(self):
         db = Database()
         conn = db.connect()
