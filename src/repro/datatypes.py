@@ -217,34 +217,52 @@ def compare(a: Value, b: Value) -> int | None:
     return 0
 
 
+# The six comparison operators check comparability, then apply Python's
+# operator: exact for int/float mixes, and IEEE for NaN (NaN is unequal
+# to everything and orders against nothing), which is what the
+# vectorized engine's native and numpy kernels compute. ``compare`` is
+# not their base: it maps an unordered pair (NaN) to 0, "equal".
+
 def eq(a: Value, b: Value) -> bool | None:
-    c = compare(a, b)
-    return None if c is None else c == 0
+    if a is None or b is None:
+        return None
+    _comparable(a, b)
+    return a == b
 
 
 def ne(a: Value, b: Value) -> bool | None:
-    c = compare(a, b)
-    return None if c is None else c != 0
+    if a is None or b is None:
+        return None
+    _comparable(a, b)
+    return a != b
 
 
 def lt(a: Value, b: Value) -> bool | None:
-    c = compare(a, b)
-    return None if c is None else c < 0
+    if a is None or b is None:
+        return None
+    _comparable(a, b)
+    return a < b  # type: ignore[operator]
 
 
 def le(a: Value, b: Value) -> bool | None:
-    c = compare(a, b)
-    return None if c is None else c <= 0
+    if a is None or b is None:
+        return None
+    _comparable(a, b)
+    return a <= b  # type: ignore[operator]
 
 
 def gt(a: Value, b: Value) -> bool | None:
-    c = compare(a, b)
-    return None if c is None else c > 0
+    if a is None or b is None:
+        return None
+    _comparable(a, b)
+    return a > b  # type: ignore[operator]
 
 
 def ge(a: Value, b: Value) -> bool | None:
-    c = compare(a, b)
-    return None if c is None else c >= 0
+    if a is None or b is None:
+        return None
+    _comparable(a, b)
+    return a >= b  # type: ignore[operator]
 
 
 def not_distinct(a: Value, b: Value) -> bool:

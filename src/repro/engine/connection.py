@@ -30,11 +30,12 @@ import os
 from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from ..algebra import expressions as ax
 from ..algebra import nodes as an
 from ..analyzer import Analyzer
 from ..catalog.schema import Attribute, Schema
 from ..core.provenance import RewriteOptions
-from ..datatypes import SQLType, Value, is_true, type_from_name
+from ..datatypes import SQLType, Value, type_from_name
 from ..errors import (
     AnalyzeError,
     CatalogError,
@@ -44,12 +45,15 @@ from ..errors import (
     SerializationError,
 )
 from ..executor import execute_plan
+from ..executor.batch import Batch
+from ..executor.columns import KIND_BOOL, TypedColumn, build_typed_column
 from ..executor.expr_eval import ExprCompiler
+from ..executor.vector_expr import VectorExprCompiler
 from ..backend.registry import engine_names, get_spec, unknown_engine_message
 from ..sql import ast
 from ..sql.printer import format_query, format_statement
 from ..storage import mvcc
-from ..storage.table import Relation
+from ..storage.table import Relation, Row
 from .cursor import Cursor
 from .database import Database
 from .matview import MatviewContents, base_table_names, compile_program
@@ -406,17 +410,20 @@ class Connection:
                     self._prepare_dml(statement)
                 verb = type(statement).__name__.upper()
                 return _status(f"{verb} 0"), 0
-            if isinstance(statement, ast.Insert) and statement.rows is not None:
-                # Bulk-INSERT fast path: analyze and compile the VALUES
-                # expressions once, rebind per parameter set.
+            if isinstance(statement, (ast.Delete, ast.Update)) or (
+                isinstance(statement, ast.Insert) and statement.rows is not None
+            ):
+                # DML fast path: analyze and compile the statement once
+                # (VALUES rows, SET and WHERE expressions), rebind per
+                # parameter set.
                 specs = ast.statement_parameters(statement)
-                runner = self._prepare_insert(statement)
+                runner = self._prepare_dml(statement)
                 for params in param_sets:
                     self.pipeline.params.bind(bind_parameters(specs, params))
                     count = runner()
                     total += count
-                    relation = _status(f"INSERT {count}")
-                return relation, (total if relation is not None else -1)
+                verb = type(statement).__name__.upper()
+                return _status(f"{verb} {count}"), total
             for params in param_sets:
                 relation, rowcount = self._run_statement(statement, params)
                 if rowcount < 0:
@@ -1049,17 +1056,55 @@ class Connection:
 
         return run_query
 
-    def _predicate(self, entry, where: Optional[ast.Expression]) -> Callable:
+    def _predicate(
+        self, entry, where: Optional[ast.Expression]
+    ) -> Callable[[Sequence[Row]], Sequence[int]]:
+        """Compile a DML ``WHERE`` once into a matcher: rows -> the
+        ascending positions of the rows it holds for. The predicate runs
+        column-at-a-time on the vectorized expression kernels, whatever
+        the engine, over only the columns it reads; a subtree the row
+        compiler serves (sublinks, CASE, IN lists) reads whole rows, so
+        then every column is built."""
         if where is None:
-            return lambda row: True
-        analyzer = self._analyzer()
-        resolved = analyzer.resolve_scalar(where, entry.schema, entry.name)
-        compiled = ExprCompiler(
+            return lambda rows: range(len(rows))
+        resolved = self._analyzer().resolve_scalar(where, entry.schema, entry.name)
+        compiler = VectorExprCompiler(
             entry.schema,
-            plan_compiler=self._dml_plan_compiler(),
-            params=self.pipeline.params,
-        ).compile(resolved)
-        return lambda row: is_true(compiled(row, ()))
+            ExprCompiler(
+                entry.schema,
+                plan_compiler=self._dml_plan_compiler(),
+                params=self.pipeline.params,
+            ),
+        )
+        predicate = compiler.compile(resolved)
+        width = len(entry.schema)
+        read = range(width) if compiler.falls_back else {
+            compiler.positions[part.name.lower()]
+            for part in ax.walk_expr(resolved)
+            if isinstance(part, ax.Column)
+        }
+        types = [attribute.type for attribute in entry.schema]
+        batch_size = self.planner.batch_size
+
+        def match(rows: Sequence[Row]) -> list[int]:
+            positions: list[int] = []
+            for start in range(0, len(rows), batch_size):
+                chunk = rows[start : start + batch_size]
+                columns: list = [None] * width
+                for p in read:
+                    values = [row[p] for row in chunk]
+                    packed = build_typed_column(values, types[p])
+                    columns[p] = values if packed is None else packed
+                mask = predicate(Batch(columns, len(chunk)), ())
+                if isinstance(mask, TypedColumn) and mask.kind == KIND_BOOL:
+                    positions.extend((mask.true_indices() + start).tolist())
+                else:
+                    positions.extend(
+                        start + i for i, passed in enumerate(mask) if passed is True
+                    )
+            return positions
+
+        return match
 
     def _dml_plan_compiler(self):
         planner = self.planner

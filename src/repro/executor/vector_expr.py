@@ -69,6 +69,43 @@ _NUMERIC = (SQLType.INT, SQLType.FLOAT)
 # Sentinel distinguishing "no constant operand" from a None constant.
 _NO_CONST = object()
 
+# Trusted static type of a compared operand -> the exact runtime types of
+# a constant for which Python's operator is the row engine's comparison
+# (bool is excluded: it is an int to Python but not comparable to one).
+_EXACT_TYPES = {
+    SQLType.INT: (int, float),
+    SQLType.FLOAT: (int, float),
+    SQLType.TEXT: (str,),
+}
+
+# ``a <op> b`` is ``b <flipped op> a``.
+_FLIPPED = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+# Native comparison of a value list against a constant, NULL-propagating.
+_CONST_KERNELS = {
+    "=": lambda col, c: [None if v is None else v == c for v in col],
+    "<>": lambda col, c: [None if v is None else v != c for v in col],
+    "<": lambda col, c: [None if v is None else v < c for v in col],
+    "<=": lambda col, c: [None if v is None else v <= c for v in col],
+    ">": lambda col, c: [None if v is None else v > c for v in col],
+    ">=": lambda col, c: [None if v is None else v >= c for v in col],
+}
+
+# Native comparison of two values, NULL-propagating.
+_PAIR_KERNELS = {
+    "=": lambda a, b: None if a is None or b is None else a == b,
+    "<>": lambda a, b: None if a is None or b is None else a != b,
+    "<": lambda a, b: None if a is None or b is None else a < b,
+    "<=": lambda a, b: None if a is None or b is None else a <= b,
+    ">": lambda a, b: None if a is None or b is None else a > b,
+    ">=": lambda a, b: None if a is None or b is None else a >= b,
+}
+
+
+def _is_constant(expr: ax.Expr) -> bool:
+    """A literal or a bind parameter: one value for a whole execution."""
+    return isinstance(expr, (ax.Const, ax.Param))
+
 
 def _scalar_const(expr: ax.Expr):
     """The non-NULL numeric constant of *expr*, or ``_NO_CONST`` —
@@ -96,6 +133,9 @@ class VectorExprCompiler:
         self.schema = schema
         self.positions = {a.name.lower(): i for i, a in enumerate(schema)}
         self.row_compiler = row_compiler
+        # Set once any subtree compiles to the row-wise fallback, which
+        # reads whole rows rather than the columns it names.
+        self.falls_back = False
 
     # ------------------------------------------------------------------
     def compile(self, expr: ax.Expr) -> VectorExpr:
@@ -113,19 +153,8 @@ class VectorExprCompiler:
             return lambda batch, env: [value] * batch.length
 
         if isinstance(expr, ax.Param):
-            context = self.row_compiler.params
-            index = expr.index
-            label = f":{expr.name}" if expr.name is not None else f"${expr.index + 1}"
-
-            def read_param(batch: Batch, env: Env) -> AnyColumn:
-                if index >= len(context.values):
-                    raise ExecutionError(
-                        f"parameter {label} has no bound value "
-                        f"({len(context.values)} bound)"
-                    )
-                return [context.values[index]] * batch.length
-
-            return read_param
+            read = self._param_reader(expr)
+            return lambda batch, env: [read()] * batch.length
 
         if isinstance(expr, ax.BinOp):
             return self._compile_binop(expr)
@@ -210,12 +239,30 @@ class VectorExprCompiler:
 
     # ------------------------------------------------------------------
     def _fallback(self, expr: ax.Expr) -> VectorExpr:
+        self.falls_back = True
         scalar = self.row_compiler.compile(expr)
 
         def run(batch: Batch, env: Env) -> AnyColumn:
             return [scalar(row, env) for row in batch.iter_rows()]
 
         return run
+
+    def _param_reader(self, expr: ax.Param) -> Callable[[], Value]:
+        """The bound value of parameter *expr* — read at run time, so a
+        compiled expression serves every execution of its plan."""
+        context = self.row_compiler.params
+        index = expr.index
+        label = f":{expr.name}" if expr.name is not None else f"${expr.index + 1}"
+
+        def read() -> Value:
+            if index >= len(context.values):
+                raise ExecutionError(
+                    f"parameter {label} has no bound value "
+                    f"({len(context.values)} bound)"
+                )
+            return context.values[index]
+
+        return read
 
     def _type(self, expr: ax.Expr) -> SQLType:
         """Static type of *expr* when every runtime value provably
@@ -318,43 +365,18 @@ class VectorExprCompiler:
 
     def _compile_comparison(self, expr: ax.BinOp) -> VectorExpr:
         comparator = _COMPARATORS[expr.op]
-        native = self._native_ok(expr.left, expr.right)
         op = expr.op
 
-        # column <op> constant — the hot filter shape.
-        if native and isinstance(expr.right, ax.Const) and expr.right.value is not None:
-            operand = self.compile(expr.left)
-            constant = expr.right.value
-            table = {
-                "=": lambda col: [None if v is None else v == constant for v in col],
-                "<>": lambda col: [None if v is None else v != constant for v in col],
-                "<": lambda col: [None if v is None else v < constant for v in col],
-                "<=": lambda col: [None if v is None else v <= constant for v in col],
-                ">": lambda col: [None if v is None else v > constant for v in col],
-                ">=": lambda col: [None if v is None else v >= constant for v in col],
-            }
-            kernel = table[op]
-
-            def run_const(batch: Batch, env: Env) -> AnyColumn:
-                column = operand(batch, env)
-                bulk = vec_cmp_const(column, op, constant)
-                if bulk is not None:
-                    return bulk
-                return kernel(column_values(column))
-
-            return run_const
+        # column <op> constant and constant <op> column — the hot filter
+        # shapes. A bind parameter is a constant for one execution.
+        if _is_constant(expr.right) and not _is_constant(expr.left):
+            return self._compile_const_comparison(expr, const_on_left=False)
+        if _is_constant(expr.left) and not _is_constant(expr.right):
+            return self._compile_const_comparison(expr, const_on_left=True)
 
         left, right = self.compile(expr.left), self.compile(expr.right)
-        if native:
-            table2 = {
-                "=": lambda a, b: None if a is None or b is None else a == b,
-                "<>": lambda a, b: None if a is None or b is None else a != b,
-                "<": lambda a, b: None if a is None or b is None else a < b,
-                "<=": lambda a, b: None if a is None or b is None else a <= b,
-                ">": lambda a, b: None if a is None or b is None else a > b,
-                ">=": lambda a, b: None if a is None or b is None else a >= b,
-            }
-            kernel2 = table2[op]
+        if self._native_ok(expr.left, expr.right):
+            kernel2 = _PAIR_KERNELS[op]
 
             def run_native(batch: Batch, env: Env) -> AnyColumn:
                 a = left(batch, env)
@@ -374,6 +396,46 @@ class VectorExprCompiler:
                 column_values(left(batch, env)), column_values(right(batch, env))
             )
         ]
+
+    def _compile_const_comparison(
+        self, expr: ax.BinOp, const_on_left: bool
+    ) -> VectorExpr:
+        """``operand <op> constant`` (a constant on the left flips the
+        operator). The constant's value is read once per batch, and it
+        takes the native path only when its exact runtime type makes
+        Python's operator equal to the row engine's comparison for the
+        operand's trusted static type; anything else (``bool``, a type
+        mismatch, NULL) runs the row engine's comparator in the written
+        operand order, so errors are the row engine's too."""
+        comparator = _COMPARATORS[expr.op]
+        if const_on_left:
+            operand_expr, const_expr, op = expr.right, expr.left, _FLIPPED[expr.op]
+        else:
+            operand_expr, const_expr, op = expr.left, expr.right, expr.op
+        operand = self.compile(operand_expr)
+        if isinstance(const_expr, ax.Const):
+            value = const_expr.value
+            read = lambda: value  # noqa: E731
+        else:
+            read = self._param_reader(const_expr)
+        exact = _EXACT_TYPES.get(self._type(operand_expr), ())
+        kernel = _CONST_KERNELS[op]
+
+        def run_const(batch: Batch, env: Env) -> AnyColumn:
+            column = operand(batch, env)
+            constant = read()
+            if constant is None:
+                return [None] * batch.length
+            if type(constant) in exact:
+                bulk = vec_cmp_const(column, op, constant)
+                if bulk is not None:
+                    return bulk
+                return kernel(column_values(column), constant)
+            if const_on_left:
+                return [comparator(constant, v) for v in column_values(column)]
+            return [comparator(v, constant) for v in column_values(column)]
+
+        return run_const
 
     def _compile_arith(self, expr: ax.BinOp) -> VectorExpr:
         op = expr.op

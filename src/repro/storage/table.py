@@ -224,52 +224,58 @@ class HeapTable:
             txn.append_rows(self, staged)
         return len(staged)
 
-    def delete_where(self, predicate: Callable[[Row], bool]) -> int:
-        """Delete rows matching *predicate*; returns the number removed.
-        The predicate runs over every row before anything is applied."""
+    def delete_where(self, match: Callable[[list[Row]], Sequence[int]]) -> int:
+        """Delete the rows at the positions *match* returns for the
+        visible rows (ascending); returns the number removed. The
+        matcher runs over every row before anything is applied."""
         txn = self._writer()
+        rows, ids = txn.visible_rows(self), txn.visible_ids(self)
+        positions = match(rows)
+        if not positions:
+            return 0
         kept_rows: list[Row] = []
         kept_ids: list[int] = []
-        removed_ids: list[int] = []
-        for row, rid in zip(txn.visible_rows(self), txn.visible_ids(self)):
-            if predicate(row):
-                removed_ids.append(rid)
-            else:
-                kept_rows.append(row)
-                kept_ids.append(rid)
-        if removed_ids:
-            txn.replace_rows(self, kept_rows, kept_ids, removed_ids)
-        return len(removed_ids)
+        start = 0
+        for position in positions:
+            kept_rows += rows[start:position]
+            kept_ids += ids[start:position]
+            start = position + 1
+        kept_rows += rows[start:]
+        kept_ids += ids[start:]
+        txn.replace_rows(self, kept_rows, kept_ids, [ids[p] for p in positions])
+        return len(positions)
 
     def update_where(
-        self, predicate: Callable[[Row], bool], updater: Callable[[Row], Sequence[Value]]
+        self,
+        match: Callable[[list[Row]], Sequence[int]],
+        updater: Callable[[Row], Sequence[Value]],
     ) -> int:
-        """Apply *updater* to rows matching *predicate*; returns count.
-        Predicate evaluation, updating and coercion all complete before
-        the first changed row is applied (all-or-nothing). Rows keep
-        their identity across the update; only rows whose content
-        actually changed enter the write set (an UPDATE that rewrites a
-        row to its current values cannot conflict with anything — and
-        installs no new version at all if nothing changed)."""
+        """Apply *updater* to the rows at the positions *match* returns
+        for the visible rows (ascending); returns the count. Matching,
+        updating and coercion all complete before the first changed row
+        is applied (all-or-nothing), and the updater runs on matched rows
+        only. Rows keep their identity across the update; only rows whose
+        content actually changed enter the write set (an UPDATE that
+        rewrites a row to its current values cannot conflict with
+        anything — and installs no new version at all if nothing
+        changed)."""
         txn = self._writer()
-        ids = txn.visible_ids(self)
-        matched = 0
-        new_rows: list[Row] = []
-        written_ids: list[int] = []
-        for row, rid in zip(txn.visible_rows(self), ids):
-            if predicate(row):
-                matched += 1
-                new_row = self._coerce_row(updater(row))
-                if new_row != row:
-                    new_rows.append(new_row)
-                    written_ids.append(rid)
-                else:
-                    new_rows.append(row)
-            else:
-                new_rows.append(row)
-        if written_ids:
-            txn.replace_rows(self, new_rows, list(ids), written_ids)
-        return matched
+        rows, ids = txn.visible_rows(self), txn.visible_ids(self)
+        positions = match(rows)
+        changed: list[tuple[int, Row]] = []
+        for position in positions:
+            row = rows[position]
+            new_row = self._coerce_row(updater(row))
+            if new_row != row:
+                changed.append((position, new_row))
+        if changed:
+            new_rows = list(rows)
+            for position, new_row in changed:
+                new_rows[position] = new_row
+            txn.replace_rows(
+                self, new_rows, list(ids), [ids[p] for p, _ in changed]
+            )
+        return len(positions)
 
 
 class Relation:

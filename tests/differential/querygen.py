@@ -411,6 +411,17 @@ def _nested_sublink_query(
     )
 
 
+def generate_dml_predicate(seed: int, workload: str) -> tuple[str, str]:
+    """One deterministic single-table predicate for (*seed*, *workload*):
+    ``(table, predicate)`` over the table's unqualified column names —
+    the ``WHERE`` of an UPDATE or DELETE, or of the SELECT that must
+    return exactly the rows it targets."""
+    rng = random.Random(("dml", seed, workload).__repr__())
+    tables = TPCH_TABLES if workload == "tpch" else FORUM_TABLES
+    table = rng.choice(sorted(tables))
+    return table, _predicate(rng, _Source(table, dict(tables[table])), workload)
+
+
 def generate_query(seed: int, workload: str) -> str:
     """One deterministic random query for (*seed*, *workload*)."""
     rng = random.Random((seed, workload).__repr__())

@@ -10,6 +10,11 @@ from repro.errors import CatalogError, ProgrammingError
 from repro.storage.table import HeapTable, Relation
 
 
+def where(predicate):
+    """A matcher (rows -> ascending positions) from a row predicate."""
+    return lambda rows: [i for i, row in enumerate(rows) if predicate(row)]
+
+
 @pytest.fixture
 def table(autocommit):
     t = HeapTable("t", schema_of(("a", T.INT), ("b", T.TEXT)))
@@ -42,14 +47,14 @@ class TestHeapTable:
         assert table.rows[-1] == (None, None)
 
     def test_delete_where(self, table, autocommit):
-        removed = autocommit(table.delete_where, lambda row: row[0] >= 2)
+        removed = autocommit(table.delete_where, where(lambda row: row[0] >= 2))
         assert removed == 2
         assert [r[0] for r in table.rows] == [1]
 
     def test_update_where(self, table, autocommit):
         changed = autocommit(
             table.update_where,
-            lambda row: row[1] == "x",
+            where(lambda row: row[1] == "x"),
             lambda row: (row[0] + 10, row[1]),
         )
         assert changed == 1
@@ -57,9 +62,9 @@ class TestHeapTable:
 
     def test_version_bumps_only_on_change(self, table, autocommit):
         version = table.version
-        autocommit(table.delete_where, lambda row: False)
+        autocommit(table.delete_where, where(lambda row: False))
         assert table.version == version
-        autocommit(table.delete_where, lambda row: row[0] == 1)
+        autocommit(table.delete_where, where(lambda row: row[0] == 1))
         assert table.version > version
 
     @pytest.mark.parametrize(
@@ -67,8 +72,8 @@ class TestHeapTable:
         [
             lambda t: t.insert((4, "z")),
             lambda t: t.insert_many([]),
-            lambda t: t.delete_where(lambda row: True),
-            lambda t: t.update_where(lambda row: True, lambda row: (0, "w")),
+            lambda t: t.delete_where(where(lambda row: True)),
+            lambda t: t.update_where(where(lambda row: True), lambda row: (0, "w")),
         ],
         ids=["insert", "insert_many", "delete_where", "update_where"],
     )

@@ -13,6 +13,11 @@ from repro.storage.mvcc import TransactionManager, activate
 from repro.storage.table import HeapTable
 
 
+def where(predicate):
+    """A matcher (rows -> ascending positions) from a row predicate."""
+    return lambda rows: [i for i, row in enumerate(rows) if predicate(row)]
+
+
 @pytest.fixture
 def table(autocommit) -> HeapTable:
     table = HeapTable(
@@ -57,7 +62,7 @@ class TestHeapTableAtomicity:
             return True
 
         with pytest.raises(ExecutionError):
-            table.update_where(predicate, lambda row: (row[0], "hit"))
+            table.update_where(where(predicate), lambda row: (row[0], "hit"))
         assert table.rows is before
         assert table.version == version
 
@@ -69,7 +74,7 @@ class TestHeapTableAtomicity:
             return (None, None, None) if row[0] == 3 else (row[0] * 10, row[1])
 
         with pytest.raises(CatalogError):
-            table.update_where(lambda row: True, updater)
+            table.update_where(where(lambda row: True), updater)
         assert table.rows is before
 
     def test_delete_where_predicate_error_leaves_heap(self, table, in_txn):
@@ -81,7 +86,7 @@ class TestHeapTableAtomicity:
             return True
 
         with pytest.raises(ExecutionError):
-            table.delete_where(predicate)
+            table.delete_where(where(predicate))
         assert table.rows is before
 
     def test_sql_update_division_by_zero_mid_table(self):
