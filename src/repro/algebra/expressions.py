@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from ..catalog.schema import Schema
-from ..datatypes import SQLType, Value, type_of_value, unify_types
-from ..errors import PermError, TypeCheckError
+from ..datatypes import SQLType, Value, statically_comparable, type_of_value, unify_types
+from ..errors import TypeCheckError
 from ..scalars import lookup
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -349,9 +349,34 @@ def _outer_columns_of_plan(plan: "Node", level: int) -> set[str]:
 # Static typing of expressions
 # ---------------------------------------------------------------------------
 
-_COMPARISONS = {"=", "<>", "<", ">", "<=", ">=", "like", "ilike"}
-_BOOL_OPS = {"and", "or"}
-_ARITH = {"+", "-", "*", "/", "%"}
+_COMPARISONS = {"=", "<>", "<", ">", "<=", ">="}
+# Operators whose operands each take one kind: op -> (kind, result type;
+# None for arithmetic, whose result unifies its operands).
+_OPERAND_RULES = {
+    "and": ("boolean", SQLType.BOOL),
+    "or": ("boolean", SQLType.BOOL),
+    "||": ("text", SQLType.TEXT),
+    "like": ("text", SQLType.BOOL),
+    "ilike": ("text", SQLType.BOOL),
+    **{op: ("numeric", None) for op in ("+", "-", "*", "/", "%")},
+}
+_KINDS = {
+    "boolean": (SQLType.BOOL,),
+    "text": (SQLType.TEXT,),
+    "numeric": (SQLType.INT, SQLType.FLOAT),
+}
+
+
+def require_operand(type_: SQLType, kind: str, context: str) -> None:
+    """An operand of *context* must be of *kind*; NULL (a NULL literal,
+    or a parameter, whose value is checked at bind) passes."""
+    if type_ is not SQLType.NULL and type_ not in _KINDS[kind]:
+        raise TypeCheckError(f"argument of {context} must be {kind}, not {type_}")
+
+
+def _require_comparable(a: SQLType, b: SQLType, context: str) -> None:
+    if not statically_comparable(a, b):
+        raise TypeCheckError(f"cannot compare {a} with {b} in {context}")
 
 
 def agg_result_type(func: str, arg_type: SQLType | None) -> SQLType:
@@ -371,7 +396,10 @@ def agg_result_type(func: str, arg_type: SQLType | None) -> SQLType:
 
 def infer_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = ()) -> SQLType:
     """Static type of *expr* against *schema* (and enclosing scopes for
-    :class:`OuterColumn` references)."""
+    :class:`OuterColumn` references). Checks every operand on the way,
+    as PostgreSQL's parse analysis does: an ill-typed operator raises
+    :class:`TypeCheckError` before any row is read, whatever the plan
+    and the data. Each rule is the static form of a per-row check."""
     if isinstance(expr, Column):
         return schema.attribute(expr.name).type
     if isinstance(expr, OuterColumn):
@@ -388,24 +416,56 @@ def infer_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = (
     if isinstance(expr, BinOp):
         lt = infer_type(expr.left, schema, outer_schemas)
         rt = infer_type(expr.right, schema, outer_schemas)
-        if expr.op in _BOOL_OPS or expr.op in _COMPARISONS:
+        op = expr.op
+        if op in _COMPARISONS:
+            _require_comparable(lt, rt, f"operator {op}")
             return SQLType.BOOL
-        if expr.op == "||":
-            return SQLType.TEXT
-        if expr.op in _ARITH:
-            if expr.op == "/" and (lt is SQLType.FLOAT or rt is SQLType.FLOAT):
-                return SQLType.FLOAT
-            return unify_types(lt, rt, f"operator {expr.op}")
-        raise TypeCheckError(f"unknown operator {expr.op!r}")
+        if op not in _OPERAND_RULES:
+            raise TypeCheckError(f"unknown operator {op!r}")
+        kind, result = _OPERAND_RULES[op]
+        context = op.upper() if kind == "boolean" else f"operator {op}"
+        require_operand(lt, kind, context)
+        require_operand(rt, kind, context)
+        if result is not None:
+            return result
+        if op == "/" and SQLType.FLOAT in (lt, rt):
+            return SQLType.FLOAT
+        return unify_types(lt, rt, context)
     if isinstance(expr, UnOp):
+        operand = infer_type(expr.operand, schema, outer_schemas)
         if expr.op == "not":
+            require_operand(operand, "boolean", "NOT")
             return SQLType.BOOL
-        return infer_type(expr.operand, schema, outer_schemas)
-    if isinstance(expr, (IsNullTest, DistinctTest, InListExpr)):
+        require_operand(operand, "numeric", "unary minus")
+        return operand
+    if isinstance(expr, IsNullTest):
+        infer_type(expr.operand, schema, outer_schemas)
+        return SQLType.BOOL
+    if isinstance(expr, DistinctTest):
+        _require_comparable(
+            infer_type(expr.left, schema, outer_schemas),
+            infer_type(expr.right, schema, outer_schemas),
+            "IS DISTINCT FROM",
+        )
+        return SQLType.BOOL
+    if isinstance(expr, InListExpr):
+        operand = infer_type(expr.operand, schema, outer_schemas)
+        for item in expr.items:
+            _require_comparable(operand, infer_type(item, schema, outer_schemas), "IN")
         return SQLType.BOOL
     if isinstance(expr, CaseExpr):
+        operand = (
+            infer_type(expr.operand, schema, outer_schemas)
+            if expr.operand is not None
+            else None
+        )
         result = SQLType.NULL
-        for _, branch in expr.whens:
+        for condition, branch in expr.whens:
+            when = infer_type(condition, schema, outer_schemas)
+            if operand is None:
+                require_operand(when, "boolean", "CASE WHEN")
+            else:
+                _require_comparable(operand, when, "CASE")
             result = unify_types(result, infer_type(branch, schema, outer_schemas), "CASE")
         if expr.else_result is not None:
             result = unify_types(result, infer_type(expr.else_result, schema, outer_schemas), "CASE")
@@ -414,6 +474,7 @@ def infer_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = (
         types = [infer_type(a, schema, outer_schemas) for a in expr.args]
         return lookup(expr.name).result_type(types)
     if isinstance(expr, CastExpr):
+        infer_type(expr.operand, schema, outer_schemas)
         return expr.target
     if isinstance(expr, AggExpr):
         arg_type = infer_type(expr.arg, schema, outer_schemas) if expr.arg is not None else None
@@ -421,17 +482,14 @@ def infer_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = (
     if isinstance(expr, SubqueryExpr):
         if expr.kind == "scalar":
             return expr.plan.schema[0].type
+        if expr.operand is not None:  # IN, or a quantified comparison
+            _require_comparable(
+                infer_type(expr.operand, schema, outer_schemas),
+                expr.plan.schema[0].type,
+                "IN" if expr.kind == "in" else f"{expr.op} {expr.quantifier.upper()}",
+            )
         return SQLType.BOOL
     raise TypeCheckError(f"cannot type expression {type(expr).__name__}")
-
-
-def static_type(expr: Expr, schema: Schema, outer_schemas: tuple[Schema, ...] = ()) -> SQLType:
-    """:func:`infer_type`, with ``NULL`` (unknown) for an expression
-    that does not type — for compilers that only *exploit* types."""
-    try:
-        return infer_type(expr, schema, outer_schemas)
-    except PermError:
-        return SQLType.NULL
 
 
 def conjuncts(expr: Optional[Expr]) -> list[Expr]:

@@ -6,5 +6,5 @@ the provenance rewriter.
 """
 
 from .analyzer import Analyzer, analyze_query  # noqa: F401
-from .params import infer_param_types  # noqa: F401
+from .params import infer_param_types, infer_scalar_param_types  # noqa: F401
 from .scope import Scope, ScopeEntry  # noqa: F401

@@ -7,7 +7,8 @@ Responsibilities (the "Parser & Analyzer" box of the paper's Figure 3):
 * view unfolding — view references are replaced by their defining query's
   algebra, re-qualified under the view alias;
 * aggregation analysis: GROUP BY matching, aggregate extraction, HAVING;
-* typing of every expression (via schema construction);
+* typing of every expression, operands checked by ``infer_type``
+  against the block's input and the enclosing scopes;
 * capture of SQL-PLE constructs as :class:`ProvenanceNode` /
   :class:`BaseRelationNode` markers for the provenance rewriter.
 """
@@ -15,13 +16,13 @@ Responsibilities (the "Parser & Analyzer" box of the paper's Figure 3):
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
 from ..catalog.catalog import Catalog
 from ..catalog.schema import Schema
-from ..datatypes import SQLType, type_from_name
+from ..datatypes import type_from_name
 from ..errors import AnalyzeError, CatalogError
 from ..scalars import SCALARS
 from ..sql import ast
@@ -85,18 +86,20 @@ class Analyzer:
         return self._analyze_select(query, outer)
 
     def resolve_scalar(
-        self, expr: ast.Expression, schema: Schema, alias: str
+        self,
+        expr: ast.Expression,
+        schema: Schema,
+        alias: str,
+        context: Optional[str] = None,
     ) -> ax.Expr:
-        """Resolve *expr* against a single relation's schema under *alias*
-        — used for DML (DELETE/UPDATE conditions, assignments).
-
-        The resulting expression references the table's own column names
-        (unqualified), so it can be evaluated directly against stored
-        rows.
-        """
+        """Resolve and type *expr* against a single relation's schema
+        under *alias* — DML conditions (*context* ``"WHERE"``: boolean),
+        assignments and INSERT values. The result references the table's
+        own (unqualified) column names, so it evaluates against stored
+        rows directly."""
         entry = ScopeEntry.from_names(alias, schema.names, schema.names)
-        scope = Scope([entry])
-        return self._resolve(expr, scope, agg_resolver=None)
+        scope = Scope([entry], schema=schema)
+        return self._typed(self._resolve(expr, scope, agg_resolver=None), scope, context)
 
     # ------------------------------------------------------------------
     # Set operations
@@ -108,8 +111,9 @@ class Analyzer:
         # SELECT is lifted to wrap the set-operation tree.
         provenance = _take_leftmost_provenance(query)
         try:
-            left = self.analyze_query(_strip_trailing(query.left), outer)
-            right = self.analyze_query(_strip_trailing(query.right), outer)
+            # Inner operands keep their own (parenthesized) ORDER BY/LIMIT.
+            left = self.analyze_query(query.left, outer)
+            right = self.analyze_query(query.right, outer)
             if len(left.schema) != len(right.schema):
                 raise AnalyzeError(
                     f"each {query.op.upper()} query must have the same number of columns"
@@ -131,12 +135,12 @@ class Analyzer:
             node, entries = self._build_from(select.from_items, outer)
         else:
             node, entries = an.SingleRow(), []
-        scope = Scope(entries, parent=outer)
+        scope = Scope(entries, parent=outer, schema=node.schema)
 
         # 2. WHERE clause (no aggregates allowed).
         if select.where is not None:
             condition = self._resolve(select.where, scope, agg_resolver=_forbid_aggregates("WHERE"))
-            self._require_boolean(condition, node.schema, "WHERE")
+            self._typed(condition, scope, "WHERE")
             node = an.Select(node, condition)
 
         # 3. Expand stars in the select list now that the scope is known.
@@ -154,12 +158,12 @@ class Analyzer:
             node, post_scope, post_resolver = self._build_aggregate(node, scope, select, items)
         else:
             post_scope = scope
-            post_resolver = lambda e: self._resolve(e, scope, agg_resolver=None)  # noqa: E731
+            post_resolver = lambda e: self._typed(self._resolve(e, scope, None), scope)  # noqa: E731
 
         # 5. HAVING (resolved post-aggregation).
         if select.having is not None:
             having = post_resolver(select.having)
-            self._require_boolean(having, node.schema, "HAVING")
+            self._typed(having, scope, "HAVING", node.schema)
             node = an.Select(node, having)
 
         # 6. Final projection.
@@ -237,6 +241,7 @@ class Analyzer:
         for sub in ax.walk_expr(resolved):
             if isinstance(sub, (ax.Column, ax.OuterColumn)):
                 raise AnalyzeError(f"{context} must not reference columns")
+        ax.infer_type(resolved, Schema(()))
         return resolved
 
     # ------------------------------------------------------------------
@@ -281,94 +286,71 @@ class Analyzer:
         if self.catalog.has_table(item.name):
             table = self.catalog.table(item.name)
             scan = an.Scan(item.name, alias, table.schema)
-            entry = ScopeEntry.from_names(alias, table.schema.names, scan.schema.names)
-            node: an.Node = scan
-            node = self._wrap_base_relation(
-                node,
-                entry,
-                relation_label=item.name,
-                explicit_baserelation=item.baserelation,
-                explicit_attrs=item.provenance_attrs,
-                registered_attrs=table.provenance_attrs,
+            return self._relation_ref(
+                item, alias, scan, table.schema.names, table.provenance_attrs
             )
-            return node, [entry]
         if self.catalog.has_matview(item.name):
             matview = self.catalog.matview(item.name)
             if not self.inline_matviews and self.catalog.matview_fresh(matview):
                 # Fresh contents: scan the stored heap like a table.
                 self.fresh_matviews.add(matview.name)
-                scan = an.Scan(item.name, alias, matview.table.schema)
-                entry = ScopeEntry.from_names(
-                    alias, matview.table.schema.names, scan.schema.names
+                schema = matview.table.schema
+                scan = an.Scan(item.name, alias, schema)
+                return self._relation_ref(
+                    item, alias, scan, schema.names, matview.provenance_attrs
                 )
-                node = self._wrap_base_relation(
-                    scan,
-                    entry,
-                    relation_label=item.name,
-                    explicit_baserelation=item.baserelation,
-                    explicit_attrs=item.provenance_attrs,
-                    registered_attrs=matview.provenance_attrs,
-                )
-                return node, [entry]
             # Unfold the defining query (matview inlining for its own
             # maintenance program, or stored rows that cannot be
             # trusted). The unfolded plan computes the same columns, so
             # results are identical — just not served from the heap.
             if not self.inline_matviews:
                 self.stale_matviews.add(matview.name)
-            if self._view_depth >= _MAX_VIEW_DEPTH:
-                raise AnalyzeError(
-                    f"view nesting too deep (is view {item.name!r} recursive?)"
-                )
-            self._view_depth += 1
-            try:
-                inner = self._expand_markers(
-                    self.analyze_query(matview.query, outer=None)
-                )
-            finally:
-                self._view_depth -= 1
-            exposed = inner.schema.names
-            unique = _uniquify([f"{alias}.{name}" for name in exposed])
-            project = an.Project(
-                inner,
-                [(u, ax.Column(old.name)) for u, old in zip(unique, inner.schema)],
-            )
-            entry = ScopeEntry.from_names(alias, exposed, unique)
-            node = self._wrap_base_relation(
-                project,
-                entry,
-                relation_label=item.name,
-                explicit_baserelation=item.baserelation,
-                explicit_attrs=item.provenance_attrs,
-                registered_attrs=matview.provenance_attrs,
-            )
-            return node, [entry]
+            return self._unfold(item, alias, matview.query, matview.provenance_attrs)
         if self.catalog.has_view(item.name):
             view = self.catalog.view(item.name)
-            if self._view_depth >= _MAX_VIEW_DEPTH:
-                raise AnalyzeError(f"view nesting too deep (is view {item.name!r} recursive?)")
-            self._view_depth += 1
-            try:
-                inner = self._expand_markers(self.analyze_query(view.query, outer=None))
-            finally:
-                self._view_depth -= 1
-            exposed = inner.schema.names
-            unique = [f"{alias}.{name}" for name in exposed]
-            unique = _uniquify(unique)
-            project = an.Project(
-                inner, [(u, ax.Column(old.name)) for u, old in zip(unique, inner.schema)]
-            )
-            entry = ScopeEntry.from_names(alias, exposed, unique)
-            node = self._wrap_base_relation(
-                project,
-                entry,
-                relation_label=item.name,
-                explicit_baserelation=item.baserelation,
-                explicit_attrs=item.provenance_attrs,
-                registered_attrs=view.provenance_attrs,
-            )
-            return node, [entry]
+            return self._unfold(item, alias, view.query, view.provenance_attrs)
         raise AnalyzeError(f"relation {item.name!r} does not exist")
+
+    def _unfold(
+        self,
+        item: ast.TableRef,
+        alias: str,
+        query: ast.QueryExpr,
+        registered_attrs: tuple[str, ...],
+    ) -> tuple[an.Node, list[ScopeEntry]]:
+        """A view (or an unfolded matview) reference: its defining
+        query, re-qualified under *alias*."""
+        if self._view_depth >= _MAX_VIEW_DEPTH:
+            raise AnalyzeError(f"view nesting too deep (is view {item.name!r} recursive?)")
+        self._view_depth += 1
+        try:
+            inner = self._expand_markers(self.analyze_query(query, outer=None))
+        finally:
+            self._view_depth -= 1
+        exposed = inner.schema.names
+        project = _requalify(inner, alias, exposed)
+        return self._relation_ref(item, alias, project, exposed, registered_attrs)
+
+    def _relation_ref(
+        self,
+        item: ast.FromItem,
+        alias: str,
+        node: an.Node,
+        exposed: list[str],
+        registered_attrs: tuple[str, ...],
+    ) -> tuple[an.Node, list[ScopeEntry]]:
+        """The scope entry of a FROM item whose algebra is *node*, and
+        *node* under its SQL-PLE marker, if any."""
+        entry = ScopeEntry.from_names(alias, exposed, node.schema.names)
+        node = self._wrap_base_relation(
+            node,
+            entry,
+            relation_label=item.name if isinstance(item, ast.TableRef) else alias,
+            explicit_baserelation=item.baserelation,
+            explicit_attrs=item.provenance_attrs,
+            registered_attrs=registered_attrs,
+        )
+        return node, [entry]
 
     def _build_subquery_ref(
         self, item: ast.SubqueryRef, outer: Optional[Scope]
@@ -385,20 +367,7 @@ class Analyzer:
                 f"derived table {alias!r} has {len(inner.schema)} columns, "
                 f"{len(exposed)} aliases given"
             )
-        unique = _uniquify([f"{alias}.{name}" for name in exposed])
-        project = an.Project(
-            inner, [(u, ax.Column(old.name)) for u, old in zip(unique, inner.schema)]
-        )
-        entry = ScopeEntry.from_names(alias, exposed, unique)
-        node = self._wrap_base_relation(
-            project,
-            entry,
-            relation_label=alias,
-            explicit_baserelation=item.baserelation,
-            explicit_attrs=item.provenance_attrs,
-            registered_attrs=(),
-        )
-        return node, [entry]
+        return self._relation_ref(item, alias, _requalify(inner, alias, exposed), exposed, ())
 
     def _wrap_base_relation(
         self,
@@ -437,7 +406,7 @@ class Analyzer:
         left_node, left_entries = self._build_from_item(item.left, outer)
         right_node, right_entries = self._build_from_item(item.right, outer)
         entries = left_entries + right_entries
-        scope = Scope(entries, parent=outer)
+        scope = Scope(entries, parent=outer, schema=left_node.schema.concat(right_node.schema))
 
         if item.kind == "cross":
             return an.Join(left_node, right_node, "cross", None), entries
@@ -454,12 +423,13 @@ class Analyzer:
             parts = [
                 ax.BinOp("=", ax.Column(lu), ax.Column(ru)) for lu, ru in common
             ]
-            condition = ax.combine_conjuncts(parts)
+            condition = self._typed(ax.combine_conjuncts(parts), scope)
         else:
             assert item.condition is not None
             condition = self._resolve(
                 item.condition, scope, agg_resolver=_forbid_aggregates("JOIN/ON")
             )
+            self._typed(condition, scope, "JOIN/ON")
         node = an.Join(left_node, right_node, item.kind, condition)
         return node, entries
 
@@ -506,7 +476,7 @@ class Analyzer:
         # Resolve GROUP BY expressions (supporting ordinals and aliases).
         group_exprs: list[ax.Expr] = []
         for g in select.group_by:
-            group_exprs.append(self._resolve_group_expr(g, scope, items))
+            group_exprs.append(self._typed(self._resolve_group_expr(g, scope, items), scope))
 
         group_items: list[tuple[str, ax.Expr]] = []
         group_map: dict[ax.Expr, str] = {}
@@ -534,7 +504,7 @@ class Analyzer:
                     raise AnalyzeError(f"aggregate {call.name} takes exactly one argument")
                 if _contains_aggregate(call.args[0]):
                     raise AnalyzeError("aggregate calls cannot be nested")
-                arg = self._resolve(call.args[0], scope, agg_resolver=None)
+                arg = self._typed(self._resolve(call.args[0], scope, agg_resolver=None), scope)
                 agg = ax.AggExpr(call.name, arg, call.distinct)
             if agg not in agg_map:
                 name = f"_agg_{len(agg_items)}"
@@ -546,19 +516,20 @@ class Analyzer:
 
         # Pre-register aggregates appearing anywhere, so the Aggregate
         # node is complete before post-resolution begins.
-        for item in items:
-            _walk_aggregates(item.expression, register_aggregate)
+        sources = [item.expression for item in items]
         if select.having is not None:
-            _walk_aggregates(select.having, register_aggregate)
-        for order in select.order_by:
-            _walk_aggregates(order.expression, register_aggregate)
+            sources.append(select.having)
+        sources += [order.expression for order in select.order_by]
+        for source in sources:
+            for call in _aggregate_calls(source):
+                register_aggregate(call)
 
         agg_node = an.Aggregate(node, group_items, agg_items)
 
         def post_resolver(expr: ast.Expression) -> ax.Expr:
             resolved = self._resolve(expr, scope, agg_resolver=aggregate)
             self._validate_grouping(resolved, agg_node.schema)
-            return resolved
+            return self._typed(resolved, scope, schema=agg_node.schema)
 
         return agg_node, scope, post_resolver
 
@@ -790,10 +761,23 @@ class Analyzer:
             return ax.CastExpr(resolve(expr.operand), type_from_name(expr.type_name))
         raise AnalyzeError(f"unsupported expression {type(expr).__name__}")
 
-    def _require_boolean(self, expr: ax.Expr, schema: Schema, context: str) -> None:
-        inferred = ax.infer_type(expr, schema)
-        if inferred not in (SQLType.BOOL, SQLType.NULL):
-            raise AnalyzeError(f"argument of {context} must be boolean, not {inferred}")
+    def _typed(
+        self,
+        expr: ax.Expr,
+        scope: Scope,
+        context: Optional[str] = None,
+        schema: Optional[Schema] = None,
+    ) -> ax.Expr:
+        """*expr*, typed against its input (*schema*, by default the
+        scope's) and the enclosing scopes, so that a correlated reference
+        is checked as a local one is. A truth-value *context* (``WHERE``)
+        demands a boolean."""
+        type_ = ax.infer_type(
+            expr, scope.schema if schema is None else schema, scope.outer_schemas
+        )
+        if context is not None:
+            ax.require_operand(type_, "boolean", context)
+        return expr
 
 
 class _AggregateState:
@@ -816,104 +800,39 @@ def _forbid_aggregates(context: str) -> Callable[[ast.FuncCall], str]:
     return fail
 
 
-def _contains_aggregate(expr: ast.Expression) -> bool:
-    """Does the expression contain an aggregate call (not descending into
-    subqueries, whose aggregates belong to the subquery)?"""
-    found = False
-
-    def walk(node: ast.Expression) -> None:
-        nonlocal found
-        if found:
+def _aggregate_calls(expr: ast.Expression) -> Iterator[ast.FuncCall]:
+    """The aggregate calls in *expr*, in textual order — not descending
+    into their arguments or into subqueries, whose aggregates belong to
+    the subquery."""
+    if isinstance(expr, ast.FuncCall):
+        if expr.name in _AGG_NAMES:
+            yield expr
             return
-        if isinstance(node, ast.FuncCall):
-            if node.name in _AGG_NAMES:
-                found = True
-                return
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, ast.IsNull):
-            walk(node.operand)
-        elif isinstance(node, ast.IsDistinct):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, ast.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.InSubquery):
-            walk(node.operand)
-        elif isinstance(node, ast.QuantifiedComparison):
-            walk(node.operand)
-        elif isinstance(node, ast.Case):
-            if node.operand is not None:
-                walk(node.operand)
-            for condition, result in node.whens:
-                walk(condition)
-                walk(result)
-            if node.else_result is not None:
-                walk(node.else_result)
-        elif isinstance(node, ast.Cast):
-            walk(node.operand)
-
-    walk(expr)
-    return found
+        children: list[ast.Expression] = list(expr.args)
+    elif isinstance(expr, (ast.BinaryOp, ast.IsDistinct)):
+        children = [expr.left, expr.right]
+    elif isinstance(
+        expr,
+        (ast.UnaryOp, ast.IsNull, ast.Cast, ast.InSubquery, ast.QuantifiedComparison),
+    ):
+        children = [expr.operand]
+    elif isinstance(expr, ast.Between):
+        children = [expr.operand, expr.low, expr.high]
+    elif isinstance(expr, ast.InList):
+        children = [expr.operand, *expr.items]
+    elif isinstance(expr, ast.Case):
+        children = [expr.operand] if expr.operand is not None else []
+        children += [part for when in expr.whens for part in when]
+        if expr.else_result is not None:
+            children.append(expr.else_result)
+    else:
+        return
+    for child in children:
+        yield from _aggregate_calls(child)
 
 
-def _walk_aggregates(
-    expr: ast.Expression, register: Callable[[ast.FuncCall], str]
-) -> None:
-    """Register every aggregate call appearing in *expr*."""
-
-    def walk(node: ast.Expression) -> None:
-        if isinstance(node, ast.FuncCall):
-            if node.name in _AGG_NAMES:
-                register(node)
-                return
-            for arg in node.args:
-                walk(arg)
-        elif isinstance(node, ast.BinaryOp):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.UnaryOp):
-            walk(node.operand)
-        elif isinstance(node, ast.IsNull):
-            walk(node.operand)
-        elif isinstance(node, ast.IsDistinct):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, ast.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.InSubquery):
-            walk(node.operand)
-        elif isinstance(node, ast.QuantifiedComparison):
-            walk(node.operand)
-        elif isinstance(node, ast.Case):
-            if node.operand is not None:
-                walk(node.operand)
-            for condition, result in node.whens:
-                walk(condition)
-                walk(result)
-            if node.else_result is not None:
-                walk(node.else_result)
-        elif isinstance(node, ast.Cast):
-            walk(node.operand)
-
-    walk(expr)
+def _contains_aggregate(expr: ast.Expression) -> bool:
+    return next(_aggregate_calls(expr), None) is not None
 
 
 def _derive_name(expr: ast.Expression, index: int) -> str:
@@ -929,6 +848,12 @@ def _derive_name(expr: ast.Expression, index: int) -> str:
     if isinstance(expr, ast.Exists) or isinstance(expr, ast.InSubquery):
         return "exists" if isinstance(expr, ast.Exists) else "in"
     return f"column_{index + 1}"
+
+
+def _requalify(inner: an.Node, alias: str, exposed: list[str]) -> an.Node:
+    """*inner*'s columns renamed ``alias.<exposed name>``, made unique."""
+    unique = _uniquify([f"{alias}.{name}" for name in exposed])
+    return an.Project(inner, [(u, ax.Column(a.name)) for u, a in zip(unique, inner.schema)])
 
 
 def _uniquify(names: list[str]) -> list[str]:
@@ -972,13 +897,6 @@ def _restore_leftmost_provenance(
     while isinstance(current, ast.SetOp):
         current = current.left
     current.provenance = clause
-
-
-def _strip_trailing(query: ast.QueryExpr) -> ast.QueryExpr:
-    """Inner operands of a set operation keep their own ORDER BY/LIMIT
-    (parenthesized subqueries); nothing to strip — identity hook kept for
-    clarity at call sites."""
-    return query
 
 
 def analyze_query(catalog: Catalog, query: ast.QueryExpr) -> an.Node:

@@ -1,16 +1,20 @@
 """Parameter typing: expected SQL types for bind-parameter slots.
 
-A placeholder has no type of its own (``infer_type`` reports NULL, which
-unifies with anything), but its *context* usually pins one down: in
-``WHERE a > ?`` the slot must be comparable to ``a``. This module walks a
-resolved algebra tree after analysis and records, per parameter slot, the
-static type of the expression it is compared with / combined with. The
-prepared-statement front end (:mod:`repro.engine.prepared`) checks bound
-values against these expectations so a type mismatch fails at bind time
-with a clear error instead of deep inside the executor.
+A placeholder has no type of its own (``infer_type`` reports NULL), but
+its position usually demands one. This module records, per slot, the
+type its position in a resolved tree demands; the front end
+(:mod:`repro.engine.pipeline`) checks bound values against it, so a
+mistyped value fails at bind, whatever the plan, engine and data.
 
-The inference is deliberately best-effort: slots used only in opaque
-contexts stay untyped and accept any value.
+The demand flows top-down. A truth-value position (``WHERE``, ``HAVING``,
+``ON``, an ``AND``/``OR``/``NOT`` operand, a searched ``WHEN``) demands
+BOOL, ``||`` and ``LIKE`` TEXT, arithmetic a number. Expressions that
+must agree on one type (comparison sides, a ``CASE`` operand and its
+``WHEN`` values, a ``CASE``'s results, the arguments of ``coalesce`` and
+its kin) take their unified static type, else their position's demand:
+``WHERE coalesce(?, ?) = a`` types both slots as ``a``. A scalar sublink
+passes its demand to its output. Slots whose position demands nothing
+accept any value.
 """
 
 from __future__ import annotations
@@ -24,111 +28,145 @@ from ..catalog.schema import Schema
 from ..datatypes import SQLType, unify_types
 from ..scalars import SCALARS
 
-_COMPARABLE_OPS = frozenset({"=", "<>", "<", ">", "<=", ">=", "+", "-", "*", "/", "%"})
+_COMPARISONS = frozenset({"=", "<>", "<", ">", "<=", ">="})
+_ARITHMETIC = frozenset({"+", "-", "*", "/", "%"})
+_NUMBERS = (SQLType.INT, SQLType.FLOAT)
 
-_EMPTY = Schema(())
+# Operators whose output columns are their input's.
+_PASS_THROUGH = (an.Select, an.Sort, an.Limit, an.Distinct)
+
+Found = dict[int, SQLType]
 
 
 def infer_param_types(
     root: an.Node, outer_schemas: tuple[Schema, ...] = ()
-) -> dict[int, SQLType]:
-    """Map parameter slot index -> expected :class:`SQLType`.
-
-    Only slots whose expected type can be pinned down appear in the
-    result. When a slot is used in several contexts, the first one
-    encountered wins (the contexts agree in any well-typed query).
-    """
-    found: dict[int, SQLType] = {}
-    _walk_plan(root, outer_schemas, found)
+) -> Found:
+    """Map parameter slot index -> expected :class:`SQLType`, for the
+    slots whose position demands one (the first position wins)."""
+    found: Found = {}
+    _walk_plan(root, outer_schemas, found, SQLType.NULL)
     return found
+
+
+def infer_scalar_param_types(
+    expr: ax.Expr, schema: Schema, expected: SQLType, found: Found
+) -> None:
+    """Add to *found* the slots of one DML expression over *schema* —
+    an UPDATE/DELETE ``WHERE`` (*expected* BOOL), a ``SET`` value or an
+    ``INSERT … VALUES`` item (*expected* NULL: the column coerces)."""
+    _Typer(schema, (), found).expect(expr, expected)
 
 
 def _input_schema(node: an.Node) -> Schema:
     """Schema the node's expressions are resolved against."""
     if isinstance(node, an.Join):
         return node.schema  # concatenation of both inputs
-    if isinstance(node, an.Limit):
-        return _EMPTY  # LIMIT/OFFSET expressions reference no columns
     children = node.children
     return children[0].schema if children else node.schema
 
 
+def _output_expr(root: an.Node) -> Optional[ax.Expr]:
+    """The expression computing *root*'s first output column, when a
+    projection under pass-through operators holds it."""
+    while isinstance(root, _PASS_THROUGH):
+        root = root.children[0]
+    return root.items[0][1] if isinstance(root, an.Project) else None
+
+
 def _walk_plan(
-    root: an.Node, outer: tuple[Schema, ...], found: dict[int, SQLType]
+    root: an.Node, outer: tuple[Schema, ...], found: Found, output: SQLType
 ) -> None:
+    """Type the slots of every expression in *root*; *output* is what
+    the plan's first output column must be (a scalar sublink's demand)."""
+    target = _output_expr(root) if output is not SQLType.NULL else None
     for node in walk_tree(root):
-        schema = _input_schema(node)
-        if isinstance(node, (an.Select, an.Join)):
-            _predicate(node.condition, found)
+        typer = _Typer(_input_schema(node), outer, found)
+        truth = isinstance(node, (an.Select, an.Join))
         for expr in node.expressions():
-            for sub in ax.walk_expr(expr):
-                _match(sub, schema, outer, found)
-                if isinstance(sub, ax.SubqueryExpr):
-                    _walk_plan(sub.plan, (schema, *outer), found)
+            if truth:
+                typer.expect(expr, SQLType.BOOL)
+            else:
+                typer.expect(expr, output if expr is target else SQLType.NULL)
 
 
-def _match(
-    expr: ax.Expr, schema: Schema, outer: tuple[Schema, ...], found: dict[int, SQLType]
-) -> None:
-    if isinstance(expr, ax.BinOp) and expr.op in _COMPARABLE_OPS:
-        _share((expr.left, expr.right), schema, outer, found)
-    elif isinstance(expr, ax.BinOp) and expr.op in ("||", "like", "ilike"):
-        # Both operands must be text regardless of the other side.
-        for side in (expr.left, expr.right):
-            if isinstance(side, ax.Param):
-                _record(found, side, SQLType.TEXT)
-    elif isinstance(expr, ax.BinOp) and expr.op in ("and", "or"):
-        for side in (expr.left, expr.right):
-            _predicate(side, found)
-    elif isinstance(expr, ax.UnOp) and expr.op == "not":
-        _predicate(expr.operand, found)
-    elif isinstance(expr, ax.DistinctTest):
-        _share((expr.left, expr.right), schema, outer, found)
-    elif isinstance(expr, ax.InListExpr):
-        for item in expr.items:
-            _share((expr.operand, item), schema, outer, found)
-    elif isinstance(expr, ax.FuncExpr):
-        scalar = SCALARS.get(expr.name)
-        if scalar is not None and scalar.unifies_args:
-            _share(expr.args, schema, outer, found)
-    elif isinstance(expr, ax.CaseExpr):
-        if expr.operand is None:  # searched CASE: every WHEN is a predicate
-            for condition, _ in expr.whens:
-                _predicate(condition, found)
-        results = [result for _, result in expr.whens]
-        if expr.else_result is not None:
-            results.append(expr.else_result)
-        _share(results, schema, outer, found)
-    elif isinstance(expr, ax.SubqueryExpr) and expr.kind in ("in", "quant"):
-        if isinstance(expr.operand, ax.Param):
-            _record(found, expr.operand, expr.plan.schema[0].type)
+class _Typer:
+    """Slot typing of the expressions over one input schema."""
 
+    def __init__(self, schema: Schema, outer: tuple[Schema, ...], found: Found):
+        self.schema = schema
+        self.outer = outer
+        self.found = found
 
-def _share(
-    exprs: Sequence[ax.Expr],
-    schema: Schema,
-    outer: tuple[Schema, ...],
-    found: dict[int, SQLType],
-) -> None:
-    """Expressions that must agree on one type (the two sides of a
-    comparison, the arguments of a type-unifying scalar, the result
-    branches of a CASE): a parameter among them takes the unified static
-    type of the others (none, if they are all parameters)."""
-    params = [expr for expr in exprs if isinstance(expr, ax.Param)]
-    if params:
-        shared = SQLType.NULL  # what a parameter itself reports
+    def shared(self, exprs: Sequence[ax.Expr], fallback: SQLType = SQLType.NULL) -> SQLType:
+        """The one type *exprs* must agree on: their unified static
+        type, else *fallback* (what their position demands)."""
+        result = SQLType.NULL
         for expr in exprs:
-            shared = unify_types(shared, ax.static_type(expr, schema, outer), "parameter")
-        for param in params:
-            _record(found, param, shared)
+            result = unify_types(
+                result, ax.infer_type(expr, self.schema, self.outer), "parameter"
+            )
+        return fallback if result is SQLType.NULL else result
 
+    def agree(self, exprs: Sequence[ax.Expr], fallback: SQLType = SQLType.NULL) -> None:
+        type_ = self.shared(exprs, fallback)
+        for expr in exprs:
+            self.expect(expr, type_)
 
-def _predicate(expr: Optional[ax.Expr], found: dict[int, SQLType]) -> None:
-    """*expr* is used as a truth value: a parameter there is BOOL."""
-    if isinstance(expr, ax.Param):
-        _record(found, expr, SQLType.BOOL)
-
-
-def _record(found: dict[int, SQLType], param: ax.Param, type_: SQLType) -> None:
-    if type_ is not SQLType.NULL and param.index not in found:
-        found[param.index] = type_
+    def expect(self, expr: ax.Expr, expected: SQLType) -> None:
+        """Record the slots in *expr*, whose own position demands
+        *expected* (NULL: nothing)."""
+        # Arithmetic takes numbers: FLOAT admits both int and float.
+        numeric = expected if expected in _NUMBERS else SQLType.FLOAT
+        if isinstance(expr, ax.Param):
+            if expected is not SQLType.NULL and expr.index not in self.found:
+                self.found[expr.index] = expected
+        elif isinstance(expr, ax.BinOp):
+            if expr.op in ("and", "or"):
+                self.expect(expr.left, SQLType.BOOL)
+                self.expect(expr.right, SQLType.BOOL)
+            elif expr.op in ("||", "like", "ilike"):
+                self.expect(expr.left, SQLType.TEXT)
+                self.expect(expr.right, SQLType.TEXT)
+            elif expr.op in _COMPARISONS:
+                self.agree((expr.left, expr.right))
+            elif expr.op in _ARITHMETIC:
+                self.agree((expr.left, expr.right), numeric)
+        elif isinstance(expr, ax.UnOp):
+            self.expect(expr.operand, SQLType.BOOL if expr.op == "not" else numeric)
+        elif isinstance(expr, ax.DistinctTest):
+            self.agree((expr.left, expr.right))
+        elif isinstance(expr, ax.InListExpr):
+            for item in expr.items:
+                self.agree((expr.operand, item))
+        elif isinstance(expr, ax.CaseExpr):
+            if expr.operand is None:
+                for condition, _ in expr.whens:
+                    self.expect(condition, SQLType.BOOL)
+            else:
+                for condition, _ in expr.whens:
+                    self.agree((expr.operand, condition))
+            results = [result for _, result in expr.whens]
+            if expr.else_result is not None:
+                results.append(expr.else_result)
+            self.agree(results, expected)
+        elif isinstance(expr, ax.FuncExpr):
+            scalar = SCALARS.get(expr.name)
+            if scalar is not None and scalar.unifies_args:
+                self.agree(expr.args, expected)
+            else:
+                for arg in expr.args:
+                    self.expect(arg, SQLType.NULL)
+        elif isinstance(expr, (ax.IsNullTest, ax.CastExpr)):
+            self.expect(expr.operand, SQLType.NULL)
+        elif isinstance(expr, ax.AggExpr):
+            if expr.arg is not None:
+                self.expect(expr.arg, SQLType.NULL)
+        elif isinstance(expr, ax.SubqueryExpr):
+            inner = (self.schema, *self.outer)
+            if expr.kind == "scalar":
+                _walk_plan(expr.plan, inner, self.found, expected)
+            elif expr.operand is not None:  # IN / quantified comparison
+                self.expect(expr.operand, expr.plan.schema[0].type)
+                _walk_plan(expr.plan, inner, self.found, self.shared((expr.operand,)))
+            else:
+                _walk_plan(expr.plan, inner, self.found, SQLType.NULL)

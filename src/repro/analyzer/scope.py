@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..catalog.schema import Schema
 from ..errors import AnalyzeError
 
 
@@ -42,20 +43,28 @@ class ScopeEntry:
 
 
 class Scope:
-    """Attributes visible to one SELECT block, chained to outer scopes."""
+    """Attributes visible to one SELECT block, chained to outer scopes.
 
-    def __init__(self, entries: list[ScopeEntry], parent: Optional["Scope"] = None):
+    ``schema`` types the unique attribute names the entries map to, and
+    ``outer_schemas`` the enclosing scopes' (innermost first, as
+    :func:`~repro.algebra.expressions.infer_type` takes them)."""
+
+    def __init__(
+        self,
+        entries: list[ScopeEntry],
+        parent: Optional["Scope"] = None,
+        schema: Schema = Schema(()),
+    ):
         self.entries = entries
         self.parent = parent
+        self.schema = schema
+        self.outer_schemas = () if parent is None else (parent.schema, *parent.outer_schemas)
         seen: set[str] = set()
         for entry in entries:
             key = entry.alias.lower()
             if key in seen:
                 raise AnalyzeError(f"table alias {entry.alias!r} specified more than once")
             seen.add(key)
-
-    def child(self, entries: list[ScopeEntry]) -> "Scope":
-        return Scope(entries, parent=self)
 
     # ------------------------------------------------------------------
     def resolve_local(self, qualifier: Optional[str], name: str) -> Optional[str]:

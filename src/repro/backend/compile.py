@@ -37,9 +37,8 @@ correlated sublinks beyond EXISTS/IN (SQL targets silently take the
 first row of a multi-row scalar subquery where this engine raises),
 quantified comparisons, grouped or unordered float SUM/AVG (float
 addition is order-sensitive and GROUP BY sorters do not preserve
-first-seen accumulation order), and statically boolean-typed operands
-of arithmetic/functions (0/1 storage cannot raise the engine's type
-errors).
+first-seen accumulation order), and statically boolean-typed arguments
+of functions and CAST (the mirror stores booleans as 0/1).
 
 Everything else — filters, projections, all join kinds, integer and
 min/max/count aggregation, DISTINCT, ORDER BY, LIMIT, parameter
@@ -622,16 +621,18 @@ class PushdownCompiler:
         """Static semantic gate + rewrite pass.
 
         Rejects expressions the target cannot evaluate with identical
-        semantics (boolean operands where the engine raises type errors,
-        quantified sublinks) and rewrites division/modulo to the exact
-        ``div``/``mod`` UDFs unless the divisor is a nonzero constant
-        (where native arithmetic provably matches)."""
+        semantics (non-finite or out-of-range constants, booleans the
+        mirror stores as 0/1 reaching a function or a CAST) and rewrites
+        division/modulo to the exact ``div``/``mod`` UDFs unless the
+        divisor is a nonzero constant (where native arithmetic provably
+        matches). Operand types need no gate: the analyzer rejects an
+        ill-typed operator before a plan exists."""
         outers = self._outer_schemas()
         int_gated = self._int_min is not None
         int_bounds = (self._int_min, self._int_max) if int_gated else None
 
         def static_type(e: ax.Expr) -> SQLType:
-            return ax.static_type(e, schema, outers)
+            return ax.infer_type(e, schema, outers)
 
         def int_interval(e: ax.Expr) -> Optional[tuple[int, int]]:
             """Conservative runtime-value bounds of an integer-typed
@@ -696,38 +697,17 @@ class PushdownCompiler:
                 # silently losing precision; the row engine keeps it
                 # exact, so the subtree must run there.
                 raise Unsupported("integer constant beyond the target's range")
-            if isinstance(e, ax.UnOp):
-                ot = static_type(e.operand)
-                if e.op == "-" and ot in (SQLType.BOOL, SQLType.TEXT):
-                    raise Unsupported("unary minus over non-numeric raises in-engine")
-                if e.op == "not" and ot not in (SQLType.BOOL, SQLType.NULL):
-                    raise Unsupported("NOT over non-boolean raises in-engine")
-                if int_gated and e.op == "-" and ot in (SQLType.INT, SQLType.NULL):
-                    lo, hi = int_interval(e.operand) or int_bounds
-                    if not self._within_bounds((-hi, -lo)):
-                        return ax.FuncExpr("ineg", (e.operand,))
+            if (
+                int_gated
+                and isinstance(e, ax.UnOp)
+                and e.op == "-"
+                and static_type(e.operand) in (SQLType.INT, SQLType.NULL)
+            ):
+                lo, hi = int_interval(e.operand) or int_bounds
+                if not self._within_bounds((-hi, -lo)):
+                    return ax.FuncExpr("ineg", (e.operand,))
             if isinstance(e, ax.BinOp):
                 lt, rt = static_type(e.left), static_type(e.right)
-                if e.op in ("and", "or") and any(
-                    t not in (SQLType.BOOL, SQLType.NULL) for t in (lt, rt)
-                ):
-                    raise Unsupported("AND/OR over non-boolean raises in-engine")
-                if e.op == "||" and any(
-                    t not in (SQLType.TEXT, SQLType.NULL) for t in (lt, rt)
-                ):
-                    raise Unsupported("|| over non-text raises in-engine")
-                if e.op in ("=", "<>", "<", "<=", ">", ">="):
-                    if (lt is SQLType.BOOL) != (rt is SQLType.BOOL) and SQLType.NULL not in (lt, rt):
-                        raise Unsupported("bool/non-bool comparison raises in-engine")
-                    if not _statically_comparable(lt, rt):
-                        raise Unsupported(f"comparison of {lt} with {rt} raises in-engine")
-                if e.op in ("+", "-", "*", "/", "%") and any(
-                    t not in (SQLType.INT, SQLType.FLOAT, SQLType.NULL)
-                    for t in (lt, rt)
-                ):
-                    # bool/text operands raise in the engine; SQL targets
-                    # would coerce ('a' + 1 -> 1) and silently diverge.
-                    raise Unsupported("arithmetic over non-numeric raises in-engine")
                 if (
                     int_gated
                     and e.op in ("+", "-", "*")
@@ -764,12 +744,6 @@ class PushdownCompiler:
                             native = False
                     if not native:
                         return ax.FuncExpr("div" if e.op == "/" else "mod", (e.left, e.right))
-            elif isinstance(e, ax.DistinctTest):
-                lt, rt = static_type(e.left), static_type(e.right)
-                if (lt is SQLType.BOOL) != (rt is SQLType.BOOL) and SQLType.NULL not in (lt, rt):
-                    raise Unsupported("bool/non-bool IS DISTINCT FROM raises in-engine")
-                if not _statically_comparable(lt, rt):
-                    raise Unsupported(f"IS DISTINCT FROM over {lt}/{rt} raises in-engine")
             elif isinstance(e, ax.FuncExpr):
                 if any(static_type(a) is SQLType.BOOL for a in e.args):
                     # Most scalar functions reject booleans at runtime;
@@ -780,22 +754,6 @@ class PushdownCompiler:
                     # CAST(true AS text) is 'true'; the mirror's 1 would
                     # cast to '1'.
                     raise Unsupported("CAST over a boolean operand")
-            elif isinstance(e, ax.CaseExpr) and e.operand is not None:
-                ot = static_type(e.operand)
-                for when, _ in e.whens:
-                    wt = static_type(when)
-                    if (ot is SQLType.BOOL) != (wt is SQLType.BOOL) and SQLType.NULL not in (ot, wt):
-                        raise Unsupported("CASE operand/WHEN bool mismatch")
-                    if not _statically_comparable(ot, wt):
-                        raise Unsupported("CASE operand/WHEN type mismatch")
-            elif isinstance(e, ax.InListExpr):
-                ot = static_type(e.operand)
-                for item in e.items:
-                    it = static_type(item)
-                    if (ot is SQLType.BOOL) != (it is SQLType.BOOL) and SQLType.NULL not in (ot, it):
-                        raise Unsupported("bool/non-bool IN list raises in-engine")
-                    if not _statically_comparable(ot, it):
-                        raise Unsupported("IN list type mismatch raises in-engine")
             return None
 
         return ax.map_expr(expr, gate)
@@ -900,15 +858,6 @@ class PushdownCompiler:
                     raise Unsupported(f"outer reference {name!r} not in target scope")
                 if name in shadows:
                     raise Unsupported(f"outer reference {name!r} shadowed on pushdown")
-
-
-def _statically_comparable(a: SQLType, b: SQLType) -> bool:
-    numeric = (SQLType.INT, SQLType.FLOAT)
-    if a is SQLType.NULL or b is SQLType.NULL:
-        return True
-    if a in numeric and b in numeric:
-        return True
-    return a is b
 
 
 def _order_realized(node: an.Node) -> bool:

@@ -402,10 +402,7 @@ def _agg_partials(
             width += 1
             continue
         if agg.func in ("sum", "avg"):
-            try:
-                arg_type = ax.infer_type(agg.arg, child_schema, ())
-            except Exception:
-                raise Unsupported("untypeable aggregate argument") from None
+            arg_type = ax.infer_type(agg.arg, child_schema, ())
             if arg_type is not SQLType.INT:
                 # Float accumulation is order-sensitive; sum/avg over
                 # non-numerics raises in-engine. Both delegate to the

@@ -191,6 +191,17 @@ def is_true(a: bool | None) -> bool:
 # Comparisons
 # ---------------------------------------------------------------------------
 
+# One rule in two forms: over static types (the analyzer's; NULL stands
+# for any type), and over the non-NULL values compared per row.
+
+def statically_comparable(a: SQLType, b: SQLType) -> bool:
+    if a is SQLType.NULL or b is SQLType.NULL:
+        return True
+    if a in _NUMERIC and b in _NUMERIC:
+        return True
+    return a is b
+
+
 def _comparable(a: Value, b: Value) -> None:
     ta, tb = type_of_value(a), type_of_value(b)
     if ta in _NUMERIC and tb in _NUMERIC:
@@ -321,7 +332,15 @@ def arith(op: str, a: Value, b: Value) -> Value:
     ``%`` is only defined on INTs.
     """
     if a is None or b is None:
-        return None
+        # A NULL does not hide an ill-typed partner: each operand is
+        # checked on its own, as the analyzer checks each static type.
+        other = b if a is None else a
+        if other is None or (
+            isinstance(other, str)
+            if op == "||"
+            else isinstance(other, (int, float)) and not isinstance(other, bool)
+        ):
+            return None
     ta, tb = type_of_value(a), type_of_value(b)
     if op == "||":
         if ta is not SQLType.TEXT or tb is not SQLType.TEXT:

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
-from ..analyzer import Analyzer
+from ..analyzer import Analyzer, infer_scalar_param_types
 from ..catalog.schema import Attribute, Schema
 from ..core.provenance import RewriteOptions
 from ..datatypes import SQLType, Value, type_from_name
@@ -417,9 +417,11 @@ class Connection:
                 # (VALUES rows, SET and WHERE expressions), rebind per
                 # parameter set.
                 specs = ast.statement_parameters(statement)
-                runner = self._prepare_dml(statement)
+                runner, param_types = self._prepare_dml(statement)
                 for params in param_sets:
-                    self.pipeline.params.bind(bind_parameters(specs, params))
+                    self.pipeline.params.bind(
+                        bind_parameters(specs, params, param_types)
+                    )
                     count = runner()
                     total += count
                 verb = type(statement).__name__.upper()
@@ -532,8 +534,15 @@ class Connection:
             if params is not None:
                 bind_parameters(ast.statement_parameters(statement), params)
             return self._execute_explain(statement), -1
-        values = bind_parameters(ast.statement_parameters(statement), params)
-        self.pipeline.params.bind(values)
+        specs = ast.statement_parameters(statement)
+        if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
+            # Analyzed first, so the bound values are checked against the
+            # types their positions demand, as a query's are.
+            runner, param_types = self._prepare_dml(statement)
+            self.pipeline.params.bind(bind_parameters(specs, params, param_types))
+            count = runner()
+            return _status(f"{type(statement).__name__.upper()} {count}"), count
+        self.pipeline.params.bind(bind_parameters(specs, params))
         return self._execute_statement(statement)
 
     def _prepared_for(
@@ -711,13 +720,10 @@ class Connection:
         return self.pipeline.analyzer()
 
     def _execute_statement(self, statement: ast.Statement) -> tuple[Relation, int]:
-        """The status relation and the affected-row count (DML), or -1
-        where there is none (DDL: DB-API's 'undetermined')."""
-        # QueryStatement and Explain never reach here: _run_statement
-        # dispatches them to the cached-plan / explain paths first.
-        if isinstance(statement, (ast.Insert, ast.Delete, ast.Update)):
-            count = self._prepare_dml(statement)()
-            return _status(f"{type(statement).__name__.upper()} {count}"), count
+        """The status relation of a DDL statement, with -1 for its
+        affected-row count (DB-API's 'undetermined')."""
+        # Queries, EXPLAIN and DML never reach here: _run_statement_in_txn
+        # dispatches them to the cached-plan, explain and DML paths first.
         if isinstance(statement, ast.CreateTable):
             return self._execute_create_table(statement), -1
         if isinstance(statement, ast.CreateTableAs):
@@ -989,19 +995,24 @@ class Connection:
 
     def _prepare_dml(
         self, statement: Union[ast.Insert, ast.Delete, ast.Update]
-    ) -> Callable[[], int]:
-        """Resolve and compile a DML statement once; the returned runner
-        applies it against the currently bound parameters and returns
-        the affected-row count. Preparing alone validates the statement
-        (``executemany`` with no parameter sets) and lets a batch pay
-        analysis once per statement instead of once per parameter set."""
+    ) -> tuple[Callable[[], int], dict[int, SQLType]]:
+        """Resolve and compile a DML statement once: a runner applying it
+        against the currently bound parameters (returning the affected-row
+        count), and the types its parameter slots demand. Preparing alone
+        validates the statement (``executemany`` with no parameter sets)
+        and lets a batch pay analysis once, not once per parameter set."""
+        param_types: dict[int, SQLType] = {}
         if isinstance(statement, ast.Insert):
-            return self._prepare_insert(statement)
-        if isinstance(statement, ast.Delete):
-            return self._prepare_delete(statement)
-        return self._prepare_update(statement)
+            runner = self._prepare_insert(statement, param_types)
+        elif isinstance(statement, ast.Delete):
+            runner = self._prepare_delete(statement, param_types)
+        else:
+            runner = self._prepare_update(statement, param_types)
+        return runner, param_types
 
-    def _prepare_insert(self, statement: ast.Insert) -> Callable[[], int]:
+    def _prepare_insert(
+        self, statement: ast.Insert, param_types: dict[int, SQLType]
+    ) -> Callable[[], int]:
         entry = self._dml_table(statement.table, "INSERT into")
         schema = entry.schema
         if statement.columns is not None:
@@ -1026,15 +1037,14 @@ class Connection:
                 plan_compiler=self._dml_plan_compiler(),
                 params=self.pipeline.params,
             )
-            compiled_rows = [
-                [
-                    compiler.compile(
-                        analyzer.resolve_scalar(e, Schema(()), statement.table)
-                    )
-                    for e in value_exprs
-                ]
-                for value_exprs in statement.rows
-            ]
+            compiled_rows = []
+            for value_exprs in statement.rows:
+                compiled = []
+                for expression in value_exprs:
+                    resolved = analyzer.resolve_scalar(expression, Schema(()), statement.table)
+                    infer_scalar_param_types(resolved, Schema(()), SQLType.NULL, param_types)
+                    compiled.append(compiler.compile(resolved))
+                compiled_rows.append(compiled)
 
             def run_values() -> int:
                 # Evaluate every VALUES row before inserting any, so an
@@ -1048,6 +1058,7 @@ class Connection:
 
         assert statement.query is not None
         prepared = self._prepared_for(ast.QueryStatement(statement.query))
+        param_types.update(prepared.param_types)
 
         def run_query() -> int:
             result = self._execute_query(prepared)
@@ -1057,7 +1068,7 @@ class Connection:
         return run_query
 
     def _predicate(
-        self, entry, where: Optional[ast.Expression]
+        self, entry, where: Optional[ast.Expression], param_types: dict[int, SQLType]
     ) -> Callable[[Sequence[Row]], Sequence[int]]:
         """Compile a DML ``WHERE`` once into a matcher: rows -> the
         ascending positions of the rows it holds for. The predicate runs
@@ -1067,7 +1078,10 @@ class Connection:
         then every column is built."""
         if where is None:
             return lambda rows: range(len(rows))
-        resolved = self._analyzer().resolve_scalar(where, entry.schema, entry.name)
+        resolved = self._analyzer().resolve_scalar(
+            where, entry.schema, entry.name, context="WHERE"
+        )
+        infer_scalar_param_types(resolved, entry.schema, SQLType.BOOL, param_types)
         compiler = VectorExprCompiler(
             entry.schema,
             ExprCompiler(
@@ -1115,12 +1129,16 @@ class Connection:
 
         return compile_plan
 
-    def _prepare_delete(self, statement: ast.Delete) -> Callable[[], int]:
+    def _prepare_delete(
+        self, statement: ast.Delete, param_types: dict[int, SQLType]
+    ) -> Callable[[], int]:
         entry = self._dml_table(statement.table, "DELETE from")
-        predicate = self._predicate(entry, statement.where)
+        predicate = self._predicate(entry, statement.where, param_types)
         return lambda: entry.table.delete_where(predicate)
 
-    def _prepare_update(self, statement: ast.Update) -> Callable[[], int]:
+    def _prepare_update(
+        self, statement: ast.Update, param_types: dict[int, SQLType]
+    ) -> Callable[[], int]:
         entry = self._dml_table(statement.table, "UPDATE")
         analyzer = self._analyzer()
         compiler = ExprCompiler(
@@ -1132,6 +1150,7 @@ class Connection:
         for column, expression in statement.assignments:
             position = entry.schema.index_of(column)
             resolved = analyzer.resolve_scalar(expression, entry.schema, entry.name)
+            infer_scalar_param_types(resolved, entry.schema, SQLType.NULL, param_types)
             assignments.append((position, compiler.compile(resolved)))
 
         def updater(row):
@@ -1140,7 +1159,7 @@ class Connection:
                 new_row[position] = compiled(row, ())
             return new_row
 
-        predicate = self._predicate(entry, statement.where)
+        predicate = self._predicate(entry, statement.where, param_types)
         return lambda: entry.table.update_where(predicate, updater)
 
     def _execute_explain(self, statement: ast.Explain) -> Relation:

@@ -276,10 +276,10 @@ class VectorExprCompiler:
         for part in ax.walk_expr(expr):
             if isinstance(part, (ax.FuncExpr, ax.CaseExpr, ax.SubqueryExpr)) or (
                 isinstance(part, (ax.Column, ax.OuterColumn, ax.Param))
-                and ax.static_type(part, self.schema, outer) is SQLType.NULL
+                and ax.infer_type(part, self.schema, outer) is SQLType.NULL
             ):
                 return SQLType.NULL
-        return ax.static_type(expr, self.schema, outer)
+        return ax.infer_type(expr, self.schema, outer)
 
     def _static_boolean(self, expr: ax.Expr) -> bool:
         """Whether *expr* can only evaluate to True/False/None — lets

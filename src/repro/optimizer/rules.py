@@ -12,8 +12,7 @@ from typing import Optional
 
 from ..algebra import expressions as ax
 from ..algebra import nodes as an
-from ..datatypes import SQLType, Value, arith, eq, ge, gt, le, lt, ne, tvl_and, tvl_not, tvl_or
-from ..errors import ExecutionError
+from ..datatypes import SQLType, arith, eq, ge, gt, le, lt, ne, tvl_and, tvl_not, tvl_or
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +24,8 @@ def fold_constants(expr: ax.Expr) -> ax.Expr:
 
     Only side-effect-free, always-safe folds are applied; anything that
     could raise at runtime (division by zero, casts) is left alone so
-    runtime semantics do not change.
+    runtime semantics do not change. Operand types need no guard: the
+    analyzer has checked them, so no fold below can raise.
     """
 
     def fold(node: ax.Expr) -> Optional[ax.Expr]:
@@ -49,17 +49,11 @@ def fold_constants(expr: ax.Expr) -> ax.Expr:
                         if side.value is False:
                             return other
             return None
-        if isinstance(node, ax.UnOp):
-            if isinstance(node.operand, ax.Const):
-                if node.op == "not":
-                    value = node.operand.value
-                    if value is None or isinstance(value, bool):
-                        return ax.Const(tvl_not(value), SQLType.BOOL)
-                elif node.op == "-":
-                    value = node.operand.value
-                    if isinstance(value, (int, float)) and not isinstance(value, bool):
-                        return ax.Const(-value, node.operand.type)
-            return None
+        if isinstance(node, ax.UnOp) and isinstance(node.operand, ax.Const):
+            value = node.operand.value
+            if node.op == "not":
+                return ax.Const(tvl_not(value), SQLType.BOOL)
+            return ax.Const(None if value is None else -value, node.operand.type)
         if isinstance(node, ax.IsNullTest) and isinstance(node.operand, ax.Const):
             is_null = node.operand.value is None
             return ax.Const(is_null != node.negated, SQLType.BOOL)
@@ -72,23 +66,13 @@ _FOLDABLE = {"=": eq, "<>": ne, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def _try_fold_binop(op: str, left: ax.Const, right: ax.Const) -> Optional[ax.Expr]:
+    a, b = left.value, right.value
     if op in ("and", "or"):
-        a, b = left.value, right.value
-        if (a is None or isinstance(a, bool)) and (b is None or isinstance(b, bool)):
-            result = tvl_and(a, b) if op == "and" else tvl_or(a, b)
-            return ax.Const(result, SQLType.BOOL)
-        return None
+        return ax.Const(tvl_and(a, b) if op == "and" else tvl_or(a, b), SQLType.BOOL)
     if op in _FOLDABLE:
-        try:
-            return ax.Const(_FOLDABLE[op](left.value, right.value), SQLType.BOOL)
-        except ExecutionError:
-            return None
+        return ax.Const(_FOLDABLE[op](a, b), SQLType.BOOL)
     if op in ("+", "-", "*", "||"):
-        try:
-            value: Value = arith(op, left.value, right.value)
-        except ExecutionError:
-            return None
-        return ax.Const.of(value)
+        return ax.Const.of(arith(op, a, b))
     # '/' and '%' can raise division-by-zero: leave them for runtime.
     return None
 
@@ -98,8 +82,9 @@ def _has_subquery(expr: ax.Expr) -> bool:
 
 
 # Expression shapes that provably cannot raise at runtime: plain values,
-# null tests, and comparisons/logic whose operand types the analyzer has
-# already checked statically. Arithmetic (division by zero), casts,
+# null tests, and comparisons/logic, whose operand types ``infer_type``
+# checks at analysis and whose bind values are checked at bind (``? = ?``
+# is the one pair neither sees). Arithmetic (division by zero), casts,
 # functions, LIKE, CASE and sublinks (multi-row scalar results) stay out.
 # Shared by every transformation that would otherwise skip or relocate an
 # evaluation — the engine's contract is identical *errors*, not just

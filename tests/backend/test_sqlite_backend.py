@@ -255,10 +255,13 @@ class TestSemantics:
         _agree(pair, "SELECT a FROM t ORDER BY a ASC NULLS FIRST")
         _agree(pair, "SELECT a FROM t ORDER BY a DESC NULLS LAST")
 
-    def test_type_errors_survive_pushdown(self, pair):
-        # Regression: SQLite would silently coerce where the engine
-        # raises; the compiler's static gates must force fallback (and
-        # hence identical errors) even through its own div/mod rewrites.
+    def test_type_errors_never_reach_pushdown(self, pair):
+        # SQLite would silently coerce where the engine raises; the
+        # analyzer rejects the operand types before a plan exists, so
+        # every engine fails the same way, also through the compiler's
+        # own div/mod rewrites.
+        from repro.errors import TypeCheckError
+
         for sql in (
             "SELECT (a / (a - a)) || 'x' FROM t WHERE a = 1",
             "SELECT a FROM t WHERE a IS DISTINCT FROM 'oops'",
@@ -266,7 +269,7 @@ class TestSemantics:
         ):
             errors = {}
             for engine, conn in pair.items():
-                with pytest.raises(ExecutionError) as excinfo:
+                with pytest.raises(TypeCheckError) as excinfo:
                     conn.run(sql)
                 errors[engine] = str(excinfo.value)
             assert errors["row"] == errors["sqlite"], sql

@@ -55,3 +55,25 @@ def engine_pairs():
             for engine in ENGINES
         },
     }
+
+
+@pytest.fixture(scope="session")
+def optimizer_pairs():
+    """{workload: {engine/mode label: Connection}} — identical data, six
+    configurations: row/vectorized/sqlite x cost/rules."""
+    groups = {}
+    for workload, build in (
+        ("forum", lambda engine, optimizer: create_forum_db(engine=engine, optimizer=optimizer)),
+        (
+            "tpch",
+            lambda engine, optimizer: create_tpch_db(
+                _TPCH_CONFIG, engine=engine, optimizer=optimizer
+            ),
+        ),
+    ):
+        groups[workload] = {
+            f"{engine}/{mode}": build(engine, mode)
+            for engine in ("row", "vectorized", "sqlite")
+            for mode in ("cost", "rules")
+        }
+    return groups

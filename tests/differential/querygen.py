@@ -13,6 +13,10 @@ so every differential-test failure is reproducible by its seed alone.
 The generator only emits queries that cannot raise *data-dependent*
 runtime errors (no division by columns, no mixed-type comparisons), so
 all engines must agree on results — not merely on error behavior.
+``generate_ill_typed_query`` is the opposite mode: one ill-typed
+projection or conjunct hidden below a derived table, in a join
+condition or under a correlated sublink, which every engine must reject
+at analysis with the same ``TypeCheckError``.
 Integer constants at and just past the int64 boundary (2^63 and its
 neighbours, both signs) appear in comparison, projection-arithmetic and
 aggregate positions, pinning exact unbounded-integer semantics across
@@ -420,6 +424,85 @@ def generate_dml_predicate(seed: int, workload: str) -> tuple[str, str]:
     tables = TPCH_TABLES if workload == "tpch" else FORUM_TABLES
     table = rng.choice(sorted(tables))
     return table, _predicate(rng, _Source(table, dict(tables[table])), workload)
+
+
+# One ill-typed expression over an int operand {i} and a text operand
+# {t}: each breaks one operand-type rule (comparison, boolean, text,
+# numeric) in a position a predicate or a select item can take.
+_ILL_TYPED = [
+    "{i} = {t}",
+    "{t} <> {i}",
+    "{i} >= {t}",
+    "NOT {i}",
+    "{i} AND {t} IS NULL",
+    "{t} IS NULL OR {i}",
+    "{t} || {i} = {t}",
+    "-{t} > {i}",
+    "{t} IN ({i}, 1)",
+    "{i} IS DISTINCT FROM {t}",
+    "CASE {i} WHEN {t} THEN true ELSE false END",
+    "CASE WHEN {i} THEN true END",
+]
+
+
+def _typed_pair(rng: random.Random, ints: list[str], texts: list[str]) -> str:
+    return "(" + rng.choice(_ILL_TYPED).format(i=rng.choice(ints), t=rng.choice(texts)) + ")"
+
+
+def generate_ill_typed_query(seed: int, workload: str) -> str:
+    """One deterministic query for (*seed*, *workload*) holding exactly
+    one ill-typed projection or conjunct, placed where a plan could hide
+    it: below a derived table, in a join condition, or under a
+    correlated sublink. Every engine must reject it at analysis with
+    the same ``TypeCheckError``, whatever the optimizer does."""
+    rng = random.Random(("ill-typed", seed, workload).__repr__())
+    tables = TPCH_TABLES if workload == "tpch" else FORUM_TABLES
+    joins = TPCH_JOINS if workload == "tpch" else FORUM_JOINS
+    place = rng.choice(["derived", "join", "sublink"])
+    if place == "derived":
+        table = rng.choice([t for t in sorted(tables) if "text" in tables[t].values()])
+        source = _Source(table, {c: t for c, t in tables[table].items()})
+        bad = _typed_pair(rng, _columns_of_type(source, "int"), _columns_of_type(source, "text"))
+        key = rng.choice(sorted(source.columns))
+        if rng.random() < 0.5:
+            inner = f"SELECT {key} AS c0, {bad} AS c1 FROM {table}"
+        else:
+            inner = (
+                f"SELECT {key} AS c0 FROM {table} "
+                f"WHERE ({_predicate(rng, source, workload)}) AND {bad}"
+            )
+        sql = f"SELECT s.c0 FROM ({inner}) s"
+    else:
+        outer, okey, inner_table, ikey = rng.choice(joins)
+        left = _Source(f"{outer} x", {f"x.{c}": t for c, t in tables[outer].items()})
+        right = _Source(f"{inner_table} i", {f"i.{c}": t for c, t in tables[inner_table].items()})
+        # One operand from each side: the correlated one (or the other
+        # join input) is what a plan could evaluate elsewhere.
+        pairs = [
+            (ints, texts)
+            for ints, texts in (
+                (_columns_of_type(left, "int"), _columns_of_type(right, "text")),
+                (_columns_of_type(right, "int"), _columns_of_type(left, "text")),
+            )
+            if ints and texts
+        ]
+        bad = _typed_pair(rng, *rng.choice(pairs))
+        outer_cols = ", ".join(sorted(left.columns))
+        if place == "join":
+            kind = rng.choice(_JOIN_KINDS)
+            sql = (
+                f"SELECT {outer_cols} FROM {left.sql} {kind} {right.sql} "
+                f"ON x.{okey} = i.{ikey} AND {bad}"
+            )
+        else:
+            negated = "NOT " if rng.random() < 0.3 else ""
+            sql = (
+                f"SELECT {outer_cols} FROM {left.sql} WHERE {negated}EXISTS "
+                f"(SELECT 1 FROM {right.sql} WHERE i.{ikey} = x.{okey} AND {bad})"
+            )
+    if rng.random() < 0.4:
+        sql = "SELECT PROVENANCE" + sql[len("SELECT") :]
+    return sql
 
 
 def generate_query(seed: int, workload: str) -> str:

@@ -22,37 +22,11 @@ import pytest
 
 from harness import assert_engines_agree
 from querygen import generate_query
-from repro.workloads.forum import create_forum_db
 from repro.workloads.queries import QUERY_CLASSES, with_provenance
-from repro.workloads.tpch import TpchConfig, create_tpch_db
 
 CORE_SEEDS = range(0, 120, 2)
 EXHAUSTIVE_SEEDS = [s for s in range(180) if s not in CORE_SEEDS]
 WORKLOADS = ("forum", "tpch")
-
-_TPCH_CONFIG = TpchConfig(customers=25, orders=90, parts=15)
-
-
-@pytest.fixture(scope="session")
-def optimizer_pairs():
-    """{workload: {engine/mode label: Connection}} — identical data, six
-    configurations: row/vectorized/sqlite x cost/rules."""
-    groups = {}
-    for workload, build in (
-        ("forum", lambda engine, optimizer: create_forum_db(engine=engine, optimizer=optimizer)),
-        (
-            "tpch",
-            lambda engine, optimizer: create_tpch_db(
-                _TPCH_CONFIG, engine=engine, optimizer=optimizer
-            ),
-        ),
-    ):
-        groups[workload] = {
-            f"{engine}/{mode}": build(engine, mode)
-            for engine in ("row", "vectorized", "sqlite")
-            for mode in ("cost", "rules")
-        }
-    return groups
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ExecutionError, connect
+from repro import TypeCheckError, connect
 from repro.analyzer import Analyzer
 from repro.backend import differential_engines
 
@@ -134,17 +134,19 @@ class TestNaN:
 
 
 class TestDMLParameterTypes:
-    """DML binds its parameters unchecked, so a mismatched value reaches
-    the comparison itself — and must fail the way the row engine's
-    comparator does, on every engine."""
+    """DML binds its parameters through the same typed path as a query:
+    a mismatched value fails at bind, before any row is read, with the
+    error the matching SELECT raises — on every engine."""
 
     def test_text_parameter_against_an_int_column(self, conn):
-        with pytest.raises(ExecutionError, match=r"cannot compare int with text"):
+        with pytest.raises(TypeCheckError, match=r"parameter \$1 expects int, got text"):
             conn.execute("DELETE FROM t WHERE a = ?", ("2",))
+        with pytest.raises(TypeCheckError, match=r"parameter \$1 expects int, got text"):
+            conn.execute("SELECT a FROM t WHERE a = ?", ("2",))
         assert len(_rows(conn)) == 4
 
     def test_bool_parameter_against_an_int_column(self, conn):
-        with pytest.raises(ExecutionError, match=r"cannot compare int with bool"):
+        with pytest.raises(TypeCheckError, match=r"parameter \$1 expects int, got bool"):
             conn.execute("UPDATE t SET b = 'no' WHERE a = ?", (True,))
 
     def test_null_parameter_matches_nothing(self, conn):
@@ -202,11 +204,11 @@ class TestExecutemanyPreparesOnce:
 
     def test_a_bad_set_mid_batch_undoes_the_batch(self, conn):
         before = _rows(conn)
-        with pytest.raises(ExecutionError, match="cannot compare"):
+        with pytest.raises(TypeCheckError, match="expects int"):
             conn.executemany(
                 "UPDATE t SET b = ? WHERE a = ?", [("p", 1), ("q", "two"), ("r", 3)]
             )
         assert _rows(conn) == before
-        with pytest.raises(ExecutionError, match="cannot compare"):
+        with pytest.raises(TypeCheckError, match="expects int"):
             conn.executemany("DELETE FROM t WHERE a = ?", [(1,), ("two",)])
         assert _rows(conn) == before

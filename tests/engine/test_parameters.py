@@ -239,12 +239,16 @@ class TestTypeChecking:
             "SELECT a FROM t WHERE CASE WHEN ? THEN true ELSE false END",
             "SELECT t.a FROM t JOIN t u ON ? WHERE u.a = 1",
             "SELECT a FROM t GROUP BY a HAVING ?",
+            "SELECT a FROM t WHERE CASE WHEN a > 0 THEN ? END",
+            "SELECT a FROM t WHERE coalesce(?, a > 5)",
+            "SELECT a FROM t WHERE (SELECT ?) AND a > 0",
         ],
     )
     def test_bare_parameter_predicate_is_bool_on_every_engine(self, engine, sql):
-        """A parameter that *is* the predicate takes BOOL, so an int bound
-        there is one bind-time error — not no rows on one engine and
-        every row on another."""
+        """A parameter that *is* the predicate, or that a CASE branch, a
+        ``coalesce`` argument or a scalar sublink passes the predicate's
+        demand to, takes BOOL, so an int bound there is one bind-time
+        error — not no rows on one engine and every row on another."""
         connection = connect(engine=engine)
         connection.execute("CREATE TABLE t (a int); INSERT INTO t VALUES (1), (2)")
         with pytest.raises(TypeCheckError, match=r"\$1 expects bool, got int \(1\)"):
